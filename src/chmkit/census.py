@@ -8,26 +8,44 @@ column condition is enforced incrementally, pruning a branch as soon as
 some adjacent column pair is decided the wrong way, which accepts
 exactly the matrices the at-completion check would.
 
-Orthogonality of candidate row pairs reduces to "does this multiset of
-entry quotients sum to zero", decided exactly once per distinct
-multiset and cached; a numpy pass encodes every pair's multiset as a
-single integer so the full pair table costs one vectorized sweep.
+Every entry is one integer. The alphabet's values are e(x/N) for their
+common order N, so a matrix is a 6x6 array of exponents mod N: products
+are sums and conjugates are negations. The census runs on that form
+throughout and builds ``Matrix6`` only for the matrices it returns and
+for the few distinct canonical forms that certificates compare.
+
+Two rows are orthogonal when their six entry quotients sum to zero. One
+cyclotomic reduction matrix decides every such sum: its columns, packed
+into integer words, add up to zero exactly when the roots of unity they
+stand for do. The packed sums of all row pairs form the Kronecker sum,
+over the six columns, of the k x k table of packed quotients, so the
+orthogonality masks of the whole row space cost a few numpy sweeps. The
+same words re-check every emitted matrix from its entries, and the
+integer canonicaliser that ``sorted_canonical_form`` uses groups the
+matrices before any certificate search runs.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import sys
+import logging
+import math
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .exactnum import UnitValue, unit_sum
-from .equivalence import complex_equivalent, sorted_canonical_form
-from .matrices import Matrix6, catalog, is_chm
+from .exactnum import UnitValue, _cyclo, _reduce
+from .equivalence import (
+    canonical_exponents,
+    complex_equivalent,
+    dephased_exponents,
+    exponent_matrix,
+)
+from .matrices import Matrix6, catalog
+
+logger = logging.getLogger(__name__)
 
 S6_0_CLASS = "S6_0-class"
 H1_CLASS = "H1-class"
@@ -49,11 +67,12 @@ class Alphabet:
 
     @classmethod
     def of(cls, values) -> "Alphabet":
+        values = tuple(values)
+        if any(not isinstance(v, UnitValue) or not v.is_exact for v in values):
+            raise ValueError("alphabet values must be exact unit values")
         vals = tuple(sorted(set(values), key=lambda v: v.turn))
         if not 2 <= len(vals) <= 4:
             raise ValueError("alphabet needs between 2 and 4 distinct values")
-        if any(not isinstance(v, UnitValue) or not v.is_exact for v in vals):
-            raise ValueError("alphabet values must be exact unit values")
         vset = set(vals)
         closed = tuple(
             all(v.conj() * u in vset for u in vals) for v in vals
@@ -93,249 +112,193 @@ def _row_space(k: int) -> np.ndarray:
     return rows
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _reduction_words(order: int) -> np.ndarray:
+    """The cyclotomic reduction of every z^e, packed into int64 words.
 
-
-def _zero_key_set(prod_values: Sequence[UnitValue]) -> set:
-    """Keys (base-7 count encodings) of quotient multisets summing to zero."""
-    nv = len(prod_values)
-    zero_keys = set()
-    for counts in _compositions(6, nv):
-        terms = []
-        for v, c in zip(prod_values, counts):
-            terms.extend([v] * c)
-        if unit_sum(terms).is_zero():
-            zero_keys.add(sum(c * 7 ** i for i, c in enumerate(counts)))
-    return zero_keys
-
-
-def _orthogonality_masks(values: Sequence[UnitValue], rows: np.ndarray):
-    """Bitmask of orthogonal partners for every row in the row space."""
-    k = len(values)
-    prod_values: list[UnitValue] = []
-    prod_index: dict = {}
-    prod_ids = np.zeros((k, k), dtype=np.int64)
-    for a in range(k):
-        for b in range(k):
-            p = values[a] * values[b].conj()
-            if p not in prod_index:
-                prod_index[p] = len(prod_values)
-                prod_values.append(p)
-            prod_ids[a, b] = prod_index[p]
-
-    zero_keys = _zero_key_set(prod_values)
-    zero_arr = np.fromiter(zero_keys, dtype=np.int64) if zero_keys else np.zeros(
-        0, dtype=np.int64
+    Column e of the reduction matrix holds z^e on the power basis of the
+    order-th cyclotomic field, the basis of ``CycSum``, so a sum of
+    order-th roots of unity is zero exactly when the sum of their
+    columns is. A sum of at most six columns has coordinates within
+    +-6c, where c bounds the matrix entries; as balanced digits of radix
+    12c + 1 they pack into words below 2**62, and a packed sum is zero
+    exactly when every coordinate it packs is. The result has one row
+    per word and one column per exponent.
+    """
+    deg = len(_cyclo(order)) - 1
+    reduction = np.zeros((deg, order), dtype=np.int64)
+    for e in range(order):
+        vec = [0] * order
+        vec[e] = 1
+        reduction[:, e] = _reduce(order, vec)
+    radix = 12 * int(np.abs(reduction).max()) + 1
+    per_word = 1
+    while radix ** (per_word + 1) < 2**62:
+        per_word += 1
+    return np.array(
+        [
+            radix ** np.arange(len(digits), dtype=np.int64) @ digits
+            for digits in np.split(reduction, range(per_word, deg, per_word))
+        ]
     )
-    weights = 7 ** np.arange(len(prod_values), dtype=np.int64)
 
-    n = len(rows)
+
+def _vanishing(words: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Whether each sum of at most six z^e over the last axis is zero.
+
+    Exponents may lie anywhere in (-order, order): numpy's negative
+    indices wrap them mod order.
+    """
+    return (words[:, exps].sum(axis=-1) == 0).all(axis=0)
+
+
+def _kronecker_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a (+) b)[(i, k), (j, l)] = a[i, j] + b[k, l], rows and columns in
+    lexicographic order."""
+    return (a[:, None, :, None] + b[None, :, None, :]).reshape(
+        len(a) * len(b), -1
+    )
+
+
+def _orthogonality_masks(exps, words):
+    """Bitmask of orthogonal partners for every row in the row space.
+
+    Rows r and s are orthogonal when the six quotients
+    z^(e[r_j] - e[s_j]) sum to zero. The packed sums of all pairs form
+    the Kronecker sum over the six columns of the k x k table of packed
+    quotients: the sum ``half`` over three columns, then ``half (+)
+    half``, built in row blocks of about 64k entries. A row's sum with
+    itself is six and never vanishes. Quotient exponents lie in
+    (-order, order), and numpy's negative indices wrap them mod order.
+    """
+    k = len(exps)
+    n = k**6
+    halves = []
+    for table in words[:, exps[:, None] - exps[None, :]]:
+        halves.append(_kronecker_sum(_kronecker_sum(table, table), table))
+    block = max(1, 65536 // n)
     masks = []
-    byte_count = (n + 7) // 8
-    for r in range(n):
-        ids = prod_ids[rows[r][None, :], rows]  # (n, 6)
-        keys = weights[ids].sum(axis=1)
-        hits = np.isin(keys, zero_arr)
-        hits[r] = False
-        mask = int.from_bytes(
-            np.packbits(hits, bitorder="little").tobytes(), "little"
-        )
-        masks.append(mask)
+    for lo in range(0, n, block):
+        high, low = np.divmod(np.arange(lo, min(lo + block, n)), k**3)
+        hits = np.ones((len(high), n), dtype=bool)
+        for half in halves:
+            keys = half[high][:, :, None] + half[low][:, None, :]
+            hits &= keys.reshape(len(high), n) == 0
+        for packed in np.packbits(hits, axis=1, bitorder="little"):
+            masks.append(int.from_bytes(packed.tobytes(), "little"))
     return masks
 
 
-def _col_state_after(row, state):
-    """Advance the adjacent-column decision state; None means prune."""
-    new = list(state)
-    for j in range(5):
-        if new[j]:
-            continue
-        if row[j] < row[j + 1]:
-            new[j] = True
-        elif row[j] > row[j + 1]:
-            return None
-    return tuple(new)
+def _hadamard(words: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Batched ``is_chm``: whether all 15 row pairs of each matrix vanish."""
+    first, second = zip(*itertools.combinations(range(6), 2))
+    return _vanishing(words, e[:, first, :] - e[:, second, :]).all(axis=1)
 
 
-class _Budget:
-    __slots__ = ("limit", "nodes", "exhausted")
-
-    def __init__(self, limit: Optional[int]):
-        self.limit = limit
-        self.nodes = 0
-        self.exhausted = False
-
-    def step(self) -> bool:
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            self.exhausted = True
-        return not self.exhausted
+def _column_steps(rows: np.ndarray):
+    """Per row, bitmasks of adjacent column pairs it orders (<) or breaks (>)."""
+    bit = 1 << np.arange(5, dtype=np.int64)
+    lt = ((rows[:, :5] < rows[:, 1:]) * bit).sum(axis=1)
+    gt = ((rows[:, :5] > rows[:, 1:]) * bit).sum(axis=1)
+    return lt.tolist(), gt.tolist()
 
 
-def _bits_above(mask: int, floor: int):
-    """Set bit positions of mask that are strictly greater than floor."""
-    mask >>= floor + 1
-    pos = floor + 1
-    while mask:
-        low = mask & -mask
-        idx = low.bit_length() - 1
-        yield pos + idx
-        mask >>= idx + 1
-        pos += idx + 1
+def _search(masks, lt, gt, limit: Optional[int]):
+    """Depth-first completion of increasing orthogonal row selections.
 
-
-def _search(rows, masks, column_reduction, budget, prefix=None):
-    """Depth-first completion of increasing orthogonal row selections."""
+    The column state is a bitmask of the adjacent column pairs that
+    some row already orders strictly; a row that puts an undecided pair
+    the wrong way round is pruned. Each first row that passes that check
+    is a node, and so is every candidate tried below it; the search
+    stops once the node count passes ``limit``. Returns the selections
+    found, the node count and whether the limit cut it off.
+    """
     found = []
-    n = len(rows)
-    full = (1 << n) - 1
+    nodes = 0
+    limit = math.inf if limit is None else limit
 
-    def descend(selection, cand_mask, state):
-        depth = len(selection)
-        if depth == 6:
-            found.append(tuple(selection))
-            return
-        floor = selection[-1] if selection else -1
-        for r in _bits_above(cand_mask, floor):
-            if not budget.step():
-                return
-            row = rows[r]
-            if column_reduction:
-                nstate = _col_state_after(row, state)
-                if nstate is None:
-                    continue
-            else:
-                nstate = state
+    def descend(selection, rest, state):
+        # ``rest`` holds the candidates above the last selected row. True
+        # once the limit is passed, which unwinds the whole search.
+        nonlocal nodes
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            r = low.bit_length() - 1
+            nodes += 1
+            if nodes > limit:
+                return True
+            if gt[r] & ~state:
+                continue
+            if len(selection) == 5:
+                found.append((*selection, r))
+                continue
             selection.append(r)
-            descend(selection, cand_mask & masks[r], nstate)
+            if descend(selection, rest & masks[r], state | lt[r]):
+                return True
             selection.pop()
-            if budget.exhausted:
-                return
+        return False
 
-    init_state = (False,) * 5
-    if prefix is None:
-        first_candidates = range(n)
-    else:
-        first_candidates = [prefix[0]]
-
-    for r1 in first_candidates:
-        row = rows[r1]
-        if column_reduction:
-            state = _col_state_after(row, init_state)
-            if state is None:
-                continue
-        else:
-            state = init_state
-        if not budget.step():
-            break
-        if prefix is not None and len(prefix) > 1:
-            r2 = prefix[1]
-            if not (masks[r1] >> r2) & 1 or r2 <= r1:
-                continue
-            row2 = rows[r2]
-            if column_reduction:
-                state2 = _col_state_after(row2, state)
-                if state2 is None:
-                    continue
-            else:
-                state2 = state
-            descend([r1, r2], masks[r1] & masks[r2], state2)
-        else:
-            descend([r1], masks[r1], state)
-        if budget.exhausted:
-            break
-    return found
-
-
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("CHM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"CHM_THREADS must be an integer, got {env!r}") from exc
-    return 1
-
-
-def _prefix_jobs(rows, masks, column_reduction):
-    """All viable 2-row prefixes, the unit of parallel partitioning."""
-    jobs = []
-    n = len(rows)
-    for r1 in range(n):
-        state = _col_state_after(rows[r1], (False,) * 5) if column_reduction else 0
-        if column_reduction and state is None:
+    for r in range(len(masks)):
+        if gt[r]:
             continue
-        for r2 in _bits_above(masks[r1], r1):
-            if column_reduction and _col_state_after(rows[r2], state) is None:
-                continue
-            jobs.append((r1, r2))
-    return jobs
+        nodes += 1
+        if nodes > limit or descend([r], masks[r] >> (r + 1) << (r + 1), lt[r]):
+            return found, nodes, True
+    return found, nodes, False
 
 
 DEFAULT_NODE_BUDGET = 10**9
+# Matrices dephased per numpy batch; bounds the temporaries, which
+# scale with it.
+_BATCH = 1024
 
 
 def enumerate_chms(
     alphabet: Alphabet,
     budget: Optional[int] = DEFAULT_NODE_BUDGET,
-    workers: Optional[int] = None,
     column_reduction: bool = True,
 ) -> CensusReport:
     """Complete census of Hadamard matrices with entries in the alphabet.
 
+    The census works on the alphabet's common order N and each value's
+    exponent mod N, so products are sums and conjugates negations. It
+    builds the orthogonality masks of the row space, searches them,
+    re-checks every emitted matrix from its entries, and groups the
+    matrices by their sorted canonical forms; only the returned
+    matrices and the distinct forms become ``Matrix6``.
+
     ``budget`` caps the number of search nodes (default one billion,
     far above anything a 4-value alphabet needs); exceeding it yields a
     report flagged incomplete rather than a silently truncated one.
-    ``workers`` > 1 partitions the search by 2-row prefixes
-    (CHM_THREADS supplies a default). ``column_reduction=False``
-    disables the column-order symmetry cut; it exists for the
-    small-instance oracle in the test suite.
+    ``column_reduction=False`` disables the column-order symmetry cut;
+    it exists for the small-instance oracle in the test suite.
     """
     if not isinstance(alphabet, Alphabet):
         alphabet = Alphabet.of(alphabet)
     t0 = time.perf_counter()
     values = alphabet.values
+    order = math.lcm(*(v.turn.denominator for v in values))
+    exps = np.array([int(v.turn * order) for v in values], dtype=np.int64)
+    words = _reduction_words(order)
     rows = _row_space(len(values))
-    masks = _orthogonality_masks(values, rows)
-    nworkers = _worker_count(workers)
-
-    if nworkers == 1:
-        budget_box = _Budget(budget)
-        found = _search(rows, masks, column_reduction, budget_box)
-        nodes = budget_box.nodes
-        incomplete = budget_box.exhausted
+    masks = _orthogonality_masks(exps, words)
+    if column_reduction:
+        lt, gt = _column_steps(rows)
     else:
-        jobs = _prefix_jobs(rows, masks, column_reduction)
-        per_job = None if budget is None else max(1, budget // max(1, len(jobs)))
-        found = []
-        nodes = 0
-        incomplete = False
-        for r1, r2 in jobs:
-            budget_box = _Budget(per_job)
-            found.extend(
-                _search(rows, masks, column_reduction, budget_box, prefix=(r1, r2))
-            )
-            nodes += budget_box.nodes
-            incomplete = incomplete or budget_box.exhausted
-        found.sort()
+        lt = gt = [0] * len(rows)
+    found, nodes, incomplete = _search(masks, lt, gt, budget)
 
-    matrices = tuple(
-        Matrix6([[values[c] for c in rows[r]] for r in sel]) for sel in found
+    selections = np.fromiter(
+        itertools.chain.from_iterable(found), dtype=np.int64, count=6 * len(found)
+    ).reshape(-1, 6)
+    used = np.unique(selections).tolist()
+    row_values = {r: tuple(values[c] for c in rows[r].tolist()) for r in used}
+    matrices = tuple(Matrix6(map(row_values.__getitem__, sel)) for sel in found)
+    batches = (
+        exps[rows[selections[lo:lo + _BATCH]]]
+        for lo in range(0, len(selections), _BATCH)
     )
-    for m in matrices:
-        if not is_chm(m):
-            raise AssertionError("census emitted a non-Hadamard matrix")
-
-    reps, membership = _group_classes(matrices)
+    reps, membership = _group_classes(order, batches, words)
     wall = (time.perf_counter() - t0) * 1000.0
     return CensusReport(
         alphabet=alphabet,
@@ -351,20 +314,36 @@ def enumerate_chms(
     )
 
 
-def _group_classes(matrices):
-    """Partition matrices into equivalence classes.
+def _group_classes(order, batches, words):
+    """Partition matrices, given as batches of exponent arrays, into classes.
 
-    Equal sorted canonical forms prove equivalence outright; the few
-    distinct forms left are settled with certificate searches.
+    Matrices with equal dephased forms share a canonical form, computed
+    once per dephased form. Dephasing scales rows and columns by unit
+    phases, which keeps rows orthogonal, so re-checking each dephased
+    form from its entries re-checks every matrix that has it. Equal
+    sorted canonical forms prove equivalence outright; the few distinct
+    forms left are settled with certificate searches.
     """
     form_of = {}
+    form_of_dephased = {}
     form_index = []
-    for m in matrices:
-        f = sorted_canonical_form(m)
-        if f not in form_of:
-            form_of[f] = len(form_of)
-        form_index.append(form_of[f])
-    distinct_forms = sorted(form_of, key=form_of.get)
+    for batch in batches:
+        dephased = dephased_exponents(order, batch)
+        raw = dephased.tobytes()
+        size = len(raw) // len(batch)
+        keys = [raw[lo:lo + size] for lo in range(0, len(raw), size)]
+        new = list(dict.fromkeys(k for k in keys if k not in form_of_dephased))
+        if new:
+            fresh = np.frombuffer(b"".join(new), dtype=dephased.dtype).reshape(-1, 6, 6)
+            if not _hadamard(words, fresh).all():
+                raise AssertionError("census emitted a non-Hadamard matrix")
+            for key, form in zip(new, canonical_exponents(fresh)):
+                form_of_dephased[key] = form_of.setdefault(form.tobytes(), len(form_of))
+        form_index.extend(map(form_of_dephased.__getitem__, keys))
+    distinct_forms = [
+        exponent_matrix(order, np.frombuffer(f, dtype=np.int64).reshape(6, 6))
+        for f in form_of
+    ]
     # form index -> class index via pairwise certificates on the forms
     class_of_form = {}
     class_reps = []
@@ -385,8 +364,8 @@ def _group_classes(matrices):
 def classify_census(report: CensusReport) -> CensusReport:
     """Label every class representative against the catalog.
 
-    Labels are S6_0-class, H1-class, or OTHER; OTHER is shouted to
-    stderr because no known three-or-four-value census should produce
+    Labels are S6_0-class, H1-class, or OTHER; OTHER is logged as a
+    warning because no known three-or-four-value census should produce
     one. Incomplete reports are refused, a partial census proves
     nothing about class coverage.
     """
@@ -402,9 +381,9 @@ def classify_census(report: CensusReport) -> CensusReport:
             labels.append(H1_CLASS)
         else:
             labels.append(OTHER_CLASS)
-            print(
-                f"census {report.alphabet}: representative outside the known "
-                "classes; this contradicts the expected classification",
-                file=sys.stderr,
+            logger.warning(
+                "census %s: representative outside the known classes; "
+                "this contradicts the expected classification",
+                report.alphabet,
             )
     return replace(report, class_labels=tuple(labels))

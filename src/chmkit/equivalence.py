@@ -17,9 +17,12 @@ refutes most inequivalent pairs before any search runs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .exactnum import TOL, UnitValue
 from .matrices import Matrix6, apply_monomial, is_chm
@@ -79,12 +82,7 @@ def _anchored_dephase(m: Matrix6, r: int, c: int) -> Matrix6:
     )
 
 
-def _canon_key(v: UnitValue):
-    """Order-free key of the pair {v, conj(v)}."""
-    if v.turn is not None:
-        return min(v.turn, (Fraction(1) - v.turn) % 1)
-    z = v.as_complex()
-    return (round(z.real, 6), round(abs(z.imag), 6))
+_PAIRS = tuple(itertools.combinations(range(6), 2))
 
 
 def fingerprint(m: Matrix6) -> tuple:
@@ -93,14 +91,25 @@ def fingerprint(m: Matrix6) -> tuple:
     The product m[i][j] * m[k][l] * conj(m[i][l]) * conj(m[k][j]) is
     unchanged by row and column phases; permutations only shuffle the
     multiset and conjugate individual values, so the sorted tuple of
-    conjugation-free keys is a monomial-equivalence invariant. Float
-    matrices produce a rounded, advisory-only fingerprint.
+    conjugation-free keys is a monomial-equivalence invariant. Exact
+    matrices compute it on exponents; float matrices produce a rounded,
+    advisory-only fingerprint.
     """
+    if m.mode == "exact":
+        order, e = exponent_form(m)
+        first, second = (np.array(x) for x in zip(*_PAIRS))
+        rows_a, rows_b = first[:, None], second[:, None]
+        q = (
+            e[rows_a, first] + e[rows_b, second] - e[rows_a, second] - e[rows_b, first]
+        ) % order
+        keys = np.sort(np.minimum(q, order - q), axis=None).tolist()
+        turns = {x: Fraction(x, order) for x in set(keys)}
+        return tuple(turns[x] for x in keys)
     keys = []
-    for i, k in itertools.combinations(range(6), 2):
-        for j, l in itertools.combinations(range(6), 2):
-            q = m[i][j] * m[k][l] * m[i][l].conj() * m[k][j].conj()
-            keys.append(_canon_key(q))
+    for i, k in _PAIRS:
+        for j, l in _PAIRS:
+            z = (m[i][j] * m[k][l] * m[i][l].conj() * m[k][j].conj()).as_complex()
+            keys.append((round(z.real, 6), round(abs(z.imag), 6)))
     return tuple(sorted(keys))
 
 
@@ -218,29 +227,78 @@ def _match_dephased(mode, a, b, a_deph, b_deph, r, c):
     return None
 
 
+def exponent_form(m: Matrix6) -> tuple:
+    """(N, e) with m[i][j] = e(e[i][j] / N) and N the entries' common order."""
+    order = math.lcm(*(v.turn.denominator for row in m.rows for v in row))
+    e = np.array(
+        [[int(v.turn * order) for v in row] for row in m.rows], dtype=np.int64
+    )
+    return order, e
+
+
+def exponent_matrix(order: int, e) -> Matrix6:
+    """The exact matrix with entries e(e[i][j] / order)."""
+    return Matrix6(
+        tuple(UnitValue(Fraction(int(x), order)) for x in row) for row in e
+    )
+
+
+def dephased_exponents(order: int, e: np.ndarray) -> np.ndarray:
+    """Batched :func:`dephase` on exponents: e[i][j] - e[i][0] - e[0][j]
+    + e[0][0] mod order for each matrix of ``e``, shape (M, 6, 6)."""
+    return (e - e[:, :, :1] - e[:, :1, :] + e[:, :1, :1]) % order
+
+
+def canonical_exponents(d: np.ndarray) -> np.ndarray:
+    """Sorted canonical forms of a batch of dephased exponent matrices.
+
+    ``d`` has shape (M, 6, 6) and holds the exponents of dephased
+    matrices over one common order. Columns and rows are sorted
+    alternately by exponent tuples, which order exactly as the entries'
+    turn tuples do, until no matrix changes or a bound of twelve passes
+    (to dodge sort oscillation). A pass leaves a matrix that is already
+    sorted unchanged, so each matrix gets the form it would get alone.
+    """
+    # A line packs into one int64, its code, with one bit field per
+    # entry holding the rank of its exponent among those that occur. A
+    # dephased matrix has at most 25 distinct entries and a census batch
+    # at most k**4 <= 256, so six fields fit, and codes order as the
+    # exponent tuples do.
+    values, ranks = np.unique(d, return_inverse=True)
+    width = max(1, (len(values) - 1).bit_length())
+    shift = width * np.arange(5, -1, -1, dtype=np.int64)
+    field = (1 << width) - 1
+
+    def crossed(codes):
+        """Codes of the lines across the ones that ``codes`` packs."""
+        return np.einsum("mij,i->mj", codes[:, :, None] >> shift & field, 1 << shift)
+
+    rows = ranks.reshape(d.shape) @ (1 << shift)
+    for _ in range(12):
+        nxt = np.sort(crossed(np.sort(crossed(rows), axis=1)), axis=1)
+        if np.array_equal(nxt, rows):
+            break
+        rows = nxt
+    return values[rows[:, :, None] >> shift & field]
+
+
 def sorted_canonical_form(m: Matrix6) -> Matrix6:
     """Deterministic equivalence-preserving normal form for grouping.
 
-    Dephases, then alternately sorts rows and columns by their turn
-    tuples until stable (or a small pass bound, to dodge sort
-    oscillation). Every step is a permutation or a phase change, so the
-    result is complex-equivalent to the input; equal outputs therefore
-    prove equivalence. Unequal outputs prove nothing, this is a grouping
-    key, not a complete invariant.
+    Dephases, then alternately sorts columns and rows by their turn
+    tuples until stable (see :func:`canonical_exponents`, which the
+    census runs on whole batches). Every step is a permutation or a
+    phase change, so the result is complex-equivalent to the input;
+    equal outputs therefore prove equivalence. Unequal outputs prove
+    nothing, this is a grouping key, not a complete invariant.
     """
     if m.mode != "exact":
         raise ValueError("sorted_canonical_form requires an exact matrix")
-    cur = dephase(m)
-
-    def row_sorted(x: Matrix6) -> Matrix6:
-        return Matrix6(sorted(x.rows, key=lambda r: [v.turn for v in r]))
-
-    for _ in range(12):
-        nxt = row_sorted(row_sorted(cur.transpose()).transpose())
-        if nxt == cur:
-            break
-        cur = nxt
-    return cur
+    if not is_chm(m):
+        raise ValueError("sorted_canonical_form requires a Hadamard matrix")
+    order, e = exponent_form(m)
+    form = canonical_exponents(dephased_exponents(order, e[None]))[0]
+    return exponent_matrix(order, form)
 
 
 def permutation_equivalent(

@@ -46,13 +46,13 @@ class Matrix6:
     __slots__ = ("_rows", "_mode")
 
     def __init__(self, rows: Iterable[Iterable[UnitValue]]):
-        grid = tuple(tuple(row) for row in rows)
-        if len(grid) != 6 or any(len(row) != 6 for row in grid):
+        grid = tuple(map(tuple, rows))
+        if list(map(len, grid)) != [6] * 6:
             raise ValueError("Matrix6 requires exactly 6 rows of 6 entries")
-        flat = [v for row in grid for v in row]
-        if not all(isinstance(v, UnitValue) for v in flat):
+        flat = list(itertools.chain.from_iterable(grid))
+        if not all(map(isinstance, flat, itertools.repeat(UnitValue))):
             raise TypeError("Matrix6 entries must be UnitValue instances")
-        exact = sum(1 for v in flat if v.is_exact)
+        exact = len([v for v in flat if v.turn is not None])
         if exact not in (0, 36):
             raise ValueError("cannot mix exact and float entries in one matrix")
         object.__setattr__(self, "_rows", grid)

@@ -1,5 +1,6 @@
 """Equivalence machinery: dephasing, fingerprints, certificates."""
 
+import itertools
 import random
 
 import pytest
@@ -73,6 +74,21 @@ class TestFingerprint:
     def test_sign_twist_is_invisible(self):
         # S6_1 is S6_0 with half its columns negated, a monomial move.
         assert fingerprint(S61) == fingerprint(S60)
+
+    def test_exact_matches_unit_value_products(self):
+        # Reference: the quadruple products taken on UnitValue entries.
+        def reference(m):
+            keys = []
+            for i, k in itertools.combinations(range(6), 2):
+                for j, l in itertools.combinations(range(6), 2):
+                    q = m[i][j] * m[k][l] * m[i][l].conj() * m[k][j].conj()
+                    keys.append(min(q.turn, (1 - q.turn) % 1))
+            return tuple(sorted(keys))
+
+        rng = random.Random(5)
+        for m in (S60, S61, H1, F6):
+            for image in (m, random_monomial_image(m, rng)):
+                assert fingerprint(image) == reference(image)
 
 
 class TestComplexEquivalent:
