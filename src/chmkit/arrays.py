@@ -34,6 +34,7 @@ from .solve import (
     SolutionSet,
     has_nonsimple_point,
     solve_unit_circle,
+    ten_relation_residual,
 )
 
 
@@ -447,85 +448,79 @@ def is_simple(point, struct: AlphabetStructure, tol: float = 1e-9) -> bool:
             if combo.denominator == 1:
                 return True
         return False
-    za, zb = _as_complex(a), _as_complex(b)
-    residuals = (
-        abs(za - zb),
-        abs(za - zb.conjugate()),
-        abs(za + zb),
-        abs(za + zb.conjugate()),
-        abs(za - zb * zb),
-        abs(za + zb * zb),
-        abs(zb - za * za),
-        abs(zb + za * za),
-        abs(za + 1),
-        abs(zb + 1),
-    )
-    return min(residuals) <= tol
-
-
-def _near_ten_relations(t1: float, t2: float, margin: float) -> bool:
-    a, b = cmath.exp(1j * t1), cmath.exp(1j * t2)
-    residuals = (
-        abs(a - b),
-        abs(a - b.conjugate()),
-        abs(a + b),
-        abs(a + b.conjugate()),
-        abs(a - b * b),
-        abs(a + b * b),
-        abs(b - a * a),
-        abs(b + a * a),
-        abs(a + 1),
-        abs(b + 1),
-    )
-    return min(residuals) <= margin
+    return ten_relation_residual(_as_complex(a), _as_complex(b)) <= tol
 
 
 # --- two-variable witness search --------------------------------------
 
 
-def _refine(p: LaurentPoly, t1: float, t2: float, iters: int = 80):
-    """Damped Gauss-Newton descent on |p|^2 from a grid seed."""
+def _descend(p: LaurentPoly, t1: np.ndarray, t2: np.ndarray, iters: int = 80):
+    """Damped Gauss-Newton descent on |p|^2 from every seed in lockstep.
+
+    Each seed follows its own descent: it succeeds once |p| < 1e-13 at
+    the top of an iteration, and fails on a singular normal matrix, on
+    25 step halvings that never lower |p|^2, or after ``iters``
+    iterations. Finished seeds drop out of the active set. Returns the
+    angles, reduced mod 2*pi, and a mask of the seeds that succeeded;
+    the angles of failed seeds are nan.
+    """
+    monomials = list(p.coeffs.items())
+    exps = np.array(list(p.coeffs), dtype=float).reshape(-1, 2)
+    e1, e2 = exps[:, :1], exps[:, 1:]
+
+    def terms(u1, u2):
+        """One row per monomial, one column per seed."""
+        a, b = np.exp(1j * u1), np.exp(1j * u2)
+        rows = [c * a**x * b**y for (x, y), c in monomials]
+        return np.array(rows, dtype=complex).reshape(len(rows), u1.size)
+
+    tau = 2 * math.pi
+    out = np.full((len(t1), 2), np.nan)
+    live = np.arange(len(t1))
+    t1 = np.array(t1, dtype=float)
+    t2 = np.array(t2, dtype=float)
     for _ in range(iters):
-        a, b = cmath.exp(1j * t1), cmath.exp(1j * t2)
-        val = 0j
-        d1 = 0j
-        d2 = 0j
-        for (e1, e2), c in p.coeffs.items():
-            term = c * a**e1 * b**e2
-            val += term
-            d1 += 1j * e1 * term
-            d2 += 1j * e2 * term
-        if abs(val) < 1e-13:
-            tau = 2 * math.pi
-            return t1 % tau, t2 % tau
+        if not live.size:
+            break
+        tm = terms(t1, t2)
+        val = tm.sum(axis=0)
+        d1 = (1j * e1 * tm).sum(axis=0)
+        d2 = (1j * e2 * tm).sum(axis=0)
+        done = np.abs(val) < 1e-13
+        out[live[done], 0] = t1[done] % tau
+        out[live[done], 1] = t2[done] % tau
         f1, f2 = val.real, val.imag
         m11 = d1.real**2 + d1.imag**2
         m12 = d1.real * d2.real + d1.imag * d2.imag
         m22 = d2.real**2 + d2.imag**2
         lam = 1e-10 * (m11 + m22 + 1.0)
         det = (m11 + lam) * (m22 + lam) - m12 * m12
-        if det <= 0:
-            return None
+        keep = ~done & (det > 0)
         g1 = d1.real * f1 + d1.imag * f2
         g2 = d2.real * f1 + d2.imag * f2
-        dt1 = -(g1 * (m22 + lam) - g2 * m12) / det
-        dt2 = -(g2 * (m11 + lam) - g1 * m12) / det
-        step = 1.0
-        base = f1 * f1 + f2 * f2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dt1 = -(g1 * (m22 + lam) - g2 * m12) / det
+            dt2 = -(g2 * (m11 + lam) - g1 * m12) / det
+        live, t1, t2, dt1, dt2 = live[keep], t1[keep], t2[keep], dt1[keep], dt2[keep]
+        base = (f1 * f1 + f2 * f2)[keep]
+        step = np.ones(live.size)
+        pending = np.arange(live.size)
         for _ in range(25):
-            na = cmath.exp(1j * (t1 + step * dt1))
-            nb = cmath.exp(1j * (t2 + step * dt2))
-            nv = sum(
-                c * na**e1 * nb**e2 for (e1, e2), c in p.coeffs.items()
-            )
-            if abs(nv) ** 2 < base:
+            nv = terms(
+                t1[pending] + step[pending] * dt1[pending],
+                t2[pending] + step[pending] * dt2[pending],
+            ).sum(axis=0)
+            pending = pending[~(np.abs(nv) ** 2 < base[pending])]
+            if not pending.size:
                 break
-            step *= 0.5
-        else:
-            return None
-        t1 += step * dt1
-        t2 += step * dt2
-    return None
+            step[pending] *= 0.5
+        # seeds still pending found no descent step: they failed
+        moved = np.ones(live.size, dtype=bool)
+        moved[pending] = False
+        live = live[moved]
+        t1 = t1[moved] + step[moved] * dt1[moved]
+        t2 = t2[moved] + step[moved] * dt2[moved]
+    return out, ~np.isnan(out[:, 0])
 
 
 def nonsimple_witness_search(
@@ -533,13 +528,17 @@ def nonsimple_witness_search(
 ):
     """Search the torus for a non-simple solution of a 2-variable equation.
 
-    Evaluates |p| on a grid x grid mesh, refines the most promising
-    cells, and returns the first (theta1, theta2) that re-verifies below
-    ``tol`` while keeping a ``margin`` distance from the ten simple
-    relations. Points with a = 1 or b = 1 are kept when they fail all
-    ten relations: they solve the equation even though the alphabet they
-    describe degenerates. Returns None when nothing qualifies; that is a
-    statement about the search, not a proof of absence.
+    Evaluates |p| on a grid x grid mesh and takes the 1200 cells where
+    it is smallest as seeds. One lockstep damped Gauss-Newton kernel
+    (``_descend``) refines all of them at once, but it only proposes
+    points: walking the converged seeds in the order of their cells'
+    |p|, the search returns the first (theta1, theta2) that a scalar
+    re-check accepts, |p| at most ``tol`` and a distance of more than
+    ``margin`` from all ten simple relations. Points with a = 1 or
+    b = 1 are kept when they fail all ten relations: they solve the
+    equation even though the alphabet they describe degenerates.
+    Returns None when nothing qualifies; the search samples the torus,
+    so None is a statement about the search, not a proof of absence.
     """
     if len(p.variables) != 2:
         raise ValueError("witness search expects two variables")
@@ -548,16 +547,13 @@ def nonsimple_witness_search(
     vals = np.zeros((grid, grid), dtype=complex)
     for (e1, e2), c in p.coeffs.items():
         vals += c * np.outer(unit**e1, unit**e2)
-    order = np.argsort(np.abs(vals), axis=None)
-    for idx in order[:1200]:
-        i, j = divmod(int(idx), grid)
-        hit = _refine(p, float(thetas[i]), float(thetas[j]))
-        if hit is None:
+    i, j = np.divmod(np.argsort(np.abs(vals), axis=None)[:1200], grid)
+    points, hit = _descend(p, thetas[i], thetas[j])
+    for t1, t2 in points[hit].tolist():
+        a, b = cmath.exp(1j * t1), cmath.exp(1j * t2)
+        if abs(p.evaluate(a, b)) > tol:
             continue
-        t1, t2 = hit
-        if abs(p.evaluate(cmath.exp(1j * t1), cmath.exp(1j * t2))) > tol:
-            continue
-        if _near_ten_relations(t1, t2, margin):
+        if ten_relation_residual(a, b) <= margin:
             continue
         return t1, t2
     return None

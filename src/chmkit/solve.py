@@ -19,21 +19,15 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 import sympy
-from sympy import Poly, Rational, Symbol
+from sympy import Poly, Symbol
 
 from .exactnum import TOL, UnitValue, root_of_unity
 
 _X = Symbol("x")
-_SIMPLE_COSINES = {
-    Rational(1): (0, 1),
-    Rational(-1): (1, 2),
-    Rational(1, 2): None,   # two points, +-1/6 of a turn
-    Rational(-1, 2): None,  # +-1/3 of a turn
-    Rational(0): None,      # +-1/4 of a turn
-}
 
 
 class LaurentPoly:
@@ -223,13 +217,16 @@ def _cos_polynomial(coeffs: list) -> list:
     return [c * (2 ** i) for i, c in enumerate(out)]
 
 
+@lru_cache(maxsize=None)
 def solve_unit_circle(p: LaurentPoly) -> SolutionSet:
     """Every unimodular root of a one-variable Laurent polynomial, exactly.
 
     Clears denominators, factors over the integers, reads roots of unity
     off cyclotomic factors, and converts the remaining self-reciprocal
     factors to cos(theta) polynomials solved by exact real root
-    isolation. The returned set is complete.
+    isolation. The returned set is complete. ``LaurentPoly`` and the
+    returned set are immutable, so each distinct equation is factored
+    and re-verified once per process; invalid input raises every time.
     """
     if len(p.variables) != 1:
         raise ValueError("solve_unit_circle expects a single variable")

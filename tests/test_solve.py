@@ -120,6 +120,18 @@ def test_single_variable_required():
         solve_unit_circle(lp2({(1, 0): 1}))
 
 
+def test_solve_is_memoised_per_equation():
+    first = solve_unit_circle(lp({0: 1, 1: 1, 2: 1}))
+    # an equal polynomial built separately hits the same cache entry
+    assert solve_unit_circle(LaurentPoly(("a",), {2: 1, 1: 1, 0: 1})) is first
+    # invalid input is never cached: it raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="identically zero"):
+            solve_unit_circle(lp({}))
+        with pytest.raises(ValueError, match="single variable"):
+            solve_unit_circle(lp2({(1, 0): 1}))
+
+
 def test_mixed_exact_and_algebraic():
     # (a^2 + a + 1)(4a^2 + a + 4) / a: cube roots plus cos = -1/8 pair
     prod = {}
