@@ -17,6 +17,16 @@ mod-7 sum filter, the monochromatic-triangle check behind the
 outward-pointing colour argument, and the pigeonhole repeated-pair
 step that hands off to the rank-1 submatrix lemma.
 
+Both completion searches run on one bitmask kernel. The candidate rows
+are the sorted permutations of the target multisets, and each row gets
+a Python-int mask of the candidates it admits, built in numpy. The
+family is closed under conjugation, which negates residue differences,
+so admissibility is symmetric: a set of pairwise-admissible rows is a
+clique of the admissibility graph, whatever order the rows come in.
+``complete_rows`` is then one AND over the fixed rows' masks, and
+``completion_depth`` a clique search that adds candidates in
+increasing index order only.
+
 Completion results are reported as orbit representatives modulo the
 column swaps fixing every given row (entries sorted within blocks of
 columns on which all fixed rows agree), the same symmetry a by-hand
@@ -26,8 +36,12 @@ search quotients away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
+from operator import and_
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .arrays import STRUCTURES, CountArray
 
@@ -249,44 +263,89 @@ class CompletionReport:
         return not self.rows
 
 
+def _candidate_rows(gmap: GroupMap, target, rows=()) -> list:
+    """Sorted distinct permutations of the target multisets, mod m.
+
+    Raises ValueError when ``target`` is empty or when its multisets
+    and the given ``rows`` do not all have one length: a completion is
+    only a proof when every row pair is compared entry for entry.
+    """
+    m = gmap.modulus
+    target = [tuple(int(v) % m for v in ms) for ms in target]
+    if not target:
+        raise ValueError("at least one target multiset is required")
+    if len({len(ms) for ms in target} | {len(row) for row in rows}) != 1:
+        raise ValueError("target multisets and rows must have equal lengths")
+    return sorted({p for ms in target for p in permutations(ms)})
+
+
+def _admissibility_masks(gmap: GroupMap, rows, candidates, fam) -> list:
+    """Per row, the bitmask of candidates whose inner product it admits.
+
+    Bit j of a row's mask is set when the differences (row -
+    candidates[j]) mod m, sorted, form a multiset of ``fam``. Each
+    sorted difference vector is read as a base-m integer key and looked
+    up among the keys of ``fam``, in row blocks of about 64k pairs and
+    with the narrowest integer types, so that the temporary arrays stay
+    near 1 MB.
+    """
+    m = gmap.modulus
+    dtype = np.min_scalar_type(-m)
+    cand = np.array(candidates, dtype=dtype)
+    width = cand.shape[1]
+    key_type = np.min_scalar_type(-(m**width))
+
+    def keys(sorted_diffs):
+        out = np.zeros(sorted_diffs.shape[:-1], dtype=key_type)
+        for j in range(width):
+            out *= m
+            out += sorted_diffs[..., j]
+        return out
+
+    fam_keys = keys(np.array(sorted(fam), dtype=dtype))
+    rows = np.array(rows, dtype=dtype)
+    block = max(1, 65536 // len(cand))
+    masks = []
+    for lo in range(0, len(rows), block):
+        diff = rows[lo:lo + block, None, :] - cand[None, :, :]
+        diff %= m
+        diff.sort(axis=-1)
+        hits = np.isin(keys(diff), fam_keys)
+        for packed in np.packbits(hits, axis=1, bitorder="little"):
+            masks.append(int.from_bytes(packed.tobytes(), "little"))
+    return masks
+
+
 def complete_rows(gmap: GroupMap, fixed, target) -> CompletionReport:
     """All rows compatible with the fixed ones under the form family.
 
-    Candidates run over permutations of the explicit ``target``
-    multisets; admissibility closes the family under conjugation, so
-    a candidate passes when its inner product with every fixed row is
-    a permutation of a target multiset or of a conjugate of one.
+    Candidates run over the sorted permutations of the explicit
+    ``target`` multisets; admissibility closes the family under
+    conjugation, so a candidate passes when its inner product with
+    every fixed row is a permutation of a target multiset or of a
+    conjugate of one. The passing candidates are the AND of the fixed
+    rows' admissibility masks. When none passes, the certificate names
+    the first candidate and the first fixed row that rejects it.
     """
     fixed = [tuple(int(v) % gmap.modulus for v in row) for row in fixed]
     if not fixed:
         raise ValueError("at least one fixed row is required")
+    candidates = _candidate_rows(gmap, target, fixed)
     fam = _family_closure(gmap, target)
-    candidates = set()
-    for ms in target:
-        candidates.update(permutations(tuple(v % gmap.modulus for v in ms)))
-    found = []
-    first_violation = None
-    for y in sorted(candidates):
-        verdict = None
-        for x in fixed:
-            image = residue_inner_product(gmap, x, y).multiset
-            if image not in fam:
-                verdict = (x, image)
-                break
-        if verdict is None:
-            found.append(y)
-        elif first_violation is None:
-            first_violation = (y, *verdict)
+    masks = _admissibility_masks(gmap, fixed, candidates, fam)
+    passing = reduce(and_, masks)
+    found = [y for i, y in enumerate(candidates) if passing >> i & 1]
     blocks = _stabilizer_blocks(fixed)
     reps = sorted({_canonical(y, blocks) for y in found})
     certificate = None
-    if not found and first_violation is not None:
-        sample, against, image = first_violation
+    if not found:
+        sample = candidates[0]
+        against = next(x for x, mask in zip(fixed, masks) if not mask & 1)
         certificate = Contradiction(
             candidates=len(candidates),
             sample=sample,
             against=against,
-            image=image,
+            image=residue_inner_product(gmap, against, sample).multiset,
         )
     return CompletionReport(
         rows=tuple(reps),
@@ -299,35 +358,45 @@ def complete_rows(gmap: GroupMap, fixed, target) -> CompletionReport:
 def completion_depth(gmap: GroupMap, target, max_rows: int = 6) -> int:
     """Longest pairwise-admissible chain of rows from the family.
 
-    Starts from the all-zero row and extends depth-first with
-    permutations of the target multisets, requiring every row pair to
-    stay admissible. The return value counts rows including the zero
-    row, capped at ``max_rows``; a full matrix of order n needs n.
+    Starts from the all-zero row and adds permutations of the target
+    multisets, requiring every row pair to stay admissible. The return
+    value counts rows including the zero row, capped at ``max_rows``;
+    a full matrix of order n needs n.
+
+    The family is closed under negation, so admissibility is symmetric
+    and a chain is a clique of the admissibility graph: the order of
+    its rows does not matter. The search therefore adds candidates in
+    increasing index order only, starting from the zero row's mask,
+    pruning a branch once its remaining candidates cannot beat the best
+    chain, and stopping as soon as a chain reaches ``max_rows``. A row
+    admits itself only when the all-zero multiset is in the family; then
+    the zero row repeats without end and the depth is ``max_rows``.
     """
-    m = gmap.modulus
-    fam = _family_closure(gmap, target)
-    candidates = set()
-    for ms in target:
-        candidates.update(permutations(tuple(v % m for v in ms)))
-    candidates = sorted(candidates)
+    candidates = _candidate_rows(gmap, target)
     zero = (0,) * len(candidates[0])
+    fam = _family_closure(gmap, target)
+    if zero in fam:
+        return max(1, max_rows)
+    *masks, start = _admissibility_masks(
+        gmap, [*candidates, zero], candidates, fam
+    )
     best = 1
 
-    def extend(rows):
+    def grow(size, rest):
+        # ``rest`` holds the candidates above the last added row that
+        # every row so far admits. True once the cap is reached.
         nonlocal best
-        best = max(best, len(rows))
+        best = max(best, size)
         if best >= max_rows:
             return True
-        for y in candidates:
-            if all(
-                tuple(sorted((xi - yi) % m for xi, yi in zip(x, y))) in fam
-                for x in rows
-            ):
-                if extend(rows + [y]):
-                    return True
+        while size + rest.bit_count() > best:
+            low = rest & -rest
+            rest ^= low
+            if grow(size + 1, rest & masks[low.bit_length() - 1]):
+                return True
         return False
 
-    extend([zero])
+    grow(1, start)
     return best
 
 
@@ -411,8 +480,6 @@ def ramsey_check(n: int) -> RamseyReport:
                     n, False, coloring + 1, EdgeColoring.from_integer(n, coloring)
                 )
         return RamseyReport(n, True, total, None)
-    import numpy as np
-
     chunk = 1 << 20
     for start in range(0, total, chunk):
         block = np.arange(start, min(start + chunk, total), dtype=np.int64)

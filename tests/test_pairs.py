@@ -105,20 +105,26 @@ _EXPECTED_N1_NONSIMPLE = {
 }
 
 
-def test_n1_pair_verdict_split():
-    verdicts = {}
-    for (i, ca), (j, cb) in itertools.combinations(enumerate(_N1, start=1), 2):
-        verdicts[(i, j)] = _pair(ca, cb)
-    nonsimple = {k for k, v in verdicts.items() if v.kind == "NonSimpleCommon"}
-    simple = {k for k, v in verdicts.items() if v.kind == "SimpleOnlyCommon"}
+@pytest.fixture(scope="module")
+def n1_verdicts():
+    """The 15 N.1 pair verdicts, keyed by 1-based array indices."""
+    return {
+        (i, j): _pair(ca, cb)
+        for (i, ca), (j, cb) in itertools.combinations(enumerate(_N1, start=1), 2)
+    }
+
+
+def test_n1_pair_verdict_split(n1_verdicts):
+    nonsimple = {k for k, v in n1_verdicts.items() if v.kind == "NonSimpleCommon"}
+    simple = {k for k, v in n1_verdicts.items() if v.kind == "SimpleOnlyCommon"}
     assert nonsimple == _EXPECTED_N1_NONSIMPLE
     assert len(simple) == 7
-    assert not any(v.kind == "NoCommon" for v in verdicts.values())
+    assert not any(v.kind == "NoCommon" for v in n1_verdicts.values())
 
 
-def test_n1_pair_witnesses_verify():
+def test_n1_pair_witnesses_verify(n1_verdicts):
     for (i, ca), (j, cb) in itertools.combinations(enumerate(_N1, start=1), 2):
-        v = _pair(ca, cb)
+        v = n1_verdicts[(i, j)]
         pA = original_equation(CountArray(GENERIC, ca))
         pB = original_equation(CountArray(GENERIC, cb))
         for pt in v.points:

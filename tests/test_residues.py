@@ -1,20 +1,26 @@
 """Unit tests for the residue-shadow machinery and combinatorial closers."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chmkit.arrays import CountArray, STRUCTURES
+from chmkit.arrays import CountArray, STRUCTURES, enumerate_count_arrays
 from chmkit.residues import (
     MOD5,
     MOD7,
+    CompletionReport,
     Contradiction,
     EdgeColoring,
     GroupMap,
     PigeonholeWitness,
     Undefined,
+    _canonical,
+    _family_closure,
+    _stabilizer_blocks,
     array_residue_sum,
     complete_rows,
     completion_depth,
@@ -278,6 +284,178 @@ def test_completion_depth_values():
 def test_completion_depth_cap():
     # the zero row alone can always be repeated under target (0,...,0)
     assert completion_depth(MOD5, [_ZERO6], max_rows=4) == 4
+
+
+@pytest.mark.parametrize("call", [
+    lambda: completion_depth(MOD5, []),
+    lambda: completion_depth(MOD5, [_M1, (1, 2, 3)]),
+    lambda: complete_rows(MOD5, [_ZERO6, _M1], []),
+    lambda: complete_rows(MOD5, [_ZERO6, _M1], [_M1, (1, 2, 3)]),
+    lambda: complete_rows(MOD5, [_ZERO6, (1, 2, 3)], [_M1]),
+], ids=["depth-empty", "depth-ragged", "rows-empty", "rows-ragged",
+        "rows-short-fixed"])
+def test_completion_rejects_empty_or_ragged_input(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+# --- the bitmask kernel against the searches it replaced ----------------------
+
+
+def _k_factorial_depth(gmap, target, max_rows=6):
+    """The depth-first search that tries every ordering of the rows."""
+    m = gmap.modulus
+    fam = _family_closure(gmap, target)
+    candidates = set()
+    for ms in target:
+        candidates.update(itertools.permutations(tuple(v % m for v in ms)))
+    candidates = sorted(candidates)
+    zero = (0,) * len(candidates[0])
+    best = 1
+
+    def extend(rows):
+        nonlocal best
+        best = max(best, len(rows))
+        if best >= max_rows:
+            return True
+        for y in candidates:
+            if all(
+                tuple(sorted((xi - yi) % m for xi, yi in zip(x, y))) in fam
+                for x in rows
+            ):
+                if extend(rows + [y]):
+                    return True
+        return False
+
+    extend([zero])
+    return best
+
+
+def _scalar_complete_rows(gmap, fixed, target):
+    """The per-candidate loop over scalar inner products."""
+    fixed = [tuple(int(v) % gmap.modulus for v in row) for row in fixed]
+    fam = _family_closure(gmap, target)
+    candidates = set()
+    for ms in target:
+        candidates.update(
+            itertools.permutations(tuple(v % gmap.modulus for v in ms))
+        )
+    found = []
+    first_violation = None
+    for y in sorted(candidates):
+        verdict = None
+        for x in fixed:
+            image = residue_inner_product(gmap, x, y).multiset
+            if image not in fam:
+                verdict = (x, image)
+                break
+        if verdict is None:
+            found.append(y)
+        elif first_violation is None:
+            first_violation = (y, *verdict)
+    blocks = _stabilizer_blocks(fixed)
+    reps = sorted({_canonical(y, blocks) for y in found})
+    certificate = None
+    if not found and first_violation is not None:
+        sample, against, image = first_violation
+        certificate = Contradiction(len(candidates), sample, against, image)
+    return CompletionReport(tuple(reps), tuple(found), blocks, certificate)
+
+
+# The f-images of the NonSimple arrays whose depth the closers run, less
+# the two MOD7 images on which the k! search takes over 5 s:
+# (0,1,2,3,3,5) and (0,1,1,3,4,5).
+_DEPTH_IMAGES = (
+    (MOD5, (1, 2, 2, 3, 3, 4)),
+    (MOD5, (1, 1, 2, 3, 4, 4)),
+    (MOD5, (0, 1, 1, 3, 3, 4)),
+    (MOD5, (0, 1, 2, 2, 4, 4)),
+    (MOD7, (2, 3, 3, 4, 4, 5)),
+    (MOD7, (2, 2, 3, 4, 5, 5)),
+    (MOD7, (1, 3, 3, 4, 4, 6)),
+    (MOD7, (1, 2, 3, 4, 5, 6)),
+    (MOD7, (1, 2, 2, 5, 5, 6)),
+    (MOD7, (1, 1, 3, 4, 6, 6)),
+    (MOD7, (1, 1, 2, 5, 6, 6)),
+)
+
+
+@pytest.mark.parametrize("gmap, image", _DEPTH_IMAGES,
+                         ids=[f"mod{g.modulus}-{i}" for g, i in _DEPTH_IMAGES])
+def test_clique_depth_matches_k_factorial_search(gmap, image):
+    # The old search returns min(its depth, max_rows) for every cap up
+    # to the one it ran with, so one run at 6 covers the caps 2..6.
+    full = _k_factorial_depth(gmap, [image])
+    for max_rows in range(2, 7):
+        assert completion_depth(gmap, [image], max_rows) == min(full, max_rows)
+
+
+@pytest.mark.parametrize("target", [[_ZERO6], [_M1, _ZERO6]])
+def test_clique_depth_zero_target_matches_k_factorial_search(target):
+    for max_rows in range(0, 7):
+        want = _k_factorial_depth(MOD5, target, max_rows)
+        assert completion_depth(MOD5, target, max_rows) == want
+
+
+def _networkx_depth(gmap, image):
+    """1 + the clique number of the zero row's admissible neighbours.
+
+    Independent of the kernel: admissibility compares residue counts
+    instead of sorted keys, and networkx finds the cliques.
+    """
+    nx = pytest.importorskip("networkx")
+    m = gmap.modulus
+    family = {
+        tuple(np.bincount([s * v % m for v in image], minlength=m))
+        for s in (1, -1)
+    }
+
+    def admitted(diff):
+        counts = (diff[..., None] == np.arange(m)).sum(axis=-2)
+        return np.logical_or.reduce([(counts == f).all(axis=-1) for f in family])
+
+    rows = np.array(sorted(set(itertools.permutations(image))), dtype=np.int8)
+    rows = rows[admitted(-rows % m)]
+    graph = nx.from_numpy_array(admitted((rows[:, None] - rows[None, :]) % m))
+    return 1 + max((len(c) for c in nx.find_cliques(graph)), default=0)
+
+
+# The 13 NonSimple GENERIC arrays that survive z7_sum_filter.
+_Z7_SURVIVORS = (
+    (0, 0, 0, 1, 1, 2, 2), (0, 0, 0, 2, 2, 1, 1), (0, 1, 1, 0, 0, 2, 2),
+    (0, 1, 1, 1, 1, 1, 1), (0, 1, 1, 2, 2, 0, 0), (0, 2, 2, 0, 0, 1, 1),
+    (0, 2, 2, 1, 1, 0, 0), (1, 0, 1, 1, 1, 0, 2), (1, 0, 2, 0, 1, 1, 1),
+    (1, 1, 0, 1, 1, 2, 0), (1, 1, 1, 0, 2, 1, 0), (1, 1, 1, 2, 0, 0, 1),
+    (1, 2, 0, 1, 0, 1, 1),
+)
+
+
+def test_clique_depth_matches_networkx_oracle():
+    sample = random.Random(6).sample(enumerate_count_arrays(GENERIC), 24)
+    sample += [CountArray(GENERIC, c) for c in _Z7_SURVIVORS]
+    cases = [(MOD5, a) for a in enumerate_count_arrays(CONJ)]
+    cases += [(MOD7, a) for a in sample]
+    assert len(cases) == 45 + 37
+    for gmap, array in cases:
+        image = f_image(gmap, array)
+        want = _networkx_depth(gmap, image)
+        assert completion_depth(gmap, [image], max_rows=10**6) == want, image
+        assert completion_depth(gmap, [image]) == min(want, 6), image
+
+
+def test_complete_rows_matches_scalar_loop():
+    cases = [
+        (MOD5, [_ZERO6, _M1], [_M1]),
+        (MOD5, [_ZERO6, _M1, (3, 3, 4, 1, 2, 2)], [_M1]),
+        (MOD5, [_ZERO6, _M2], [_M2]),
+    ]
+    for fixed_row, reps in _MOD7_CASES.items():
+        cases.append((MOD7, [_ZERO6, fixed_row], [fixed_row]))
+        cases += [(MOD7, [_ZERO6, fixed_row, r], [fixed_row]) for r in reps]
+    for gmap, fixed, target in cases:
+        assert complete_rows(gmap, fixed, target) == _scalar_complete_rows(
+            gmap, fixed, target
+        )
 
 
 # --- edge colorings and the triangle argument ---------------------------------
