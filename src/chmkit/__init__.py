@@ -44,18 +44,17 @@ from .census import (
 from .solve import (
     AlgebraicPoint,
     LaurentPoly,
+    Relation,
     SolutionSet,
     TorusPoint,
     TorusSolution,
     has_nonsimple_point,
-    is_simple_point,
     solve_torus,
     solve_unit_circle,
 )
 from .arrays import (
     ArrayClassification,
     CountArray,
-    Relation,
     STRUCTURES,
     classify_array,
     conjugate_canonical,

@@ -14,6 +14,10 @@ non-simple lists; the attached solution sets are always computed
 honestly (complete exact solve in one variable, witness search in two).
 On a few arrays the recipe's screening is coarser than the exact solve;
 those carry ``solutions_agree=False`` instead of being silently patched.
+
+Simplicity reads two tables: ``exactnum.SIMPLE_TURNS`` for one-variable
+points, ``solve.SETTLED_RELATIONS`` for GENERIC points. The GENERIC
+substitution sweep runs over the same relations plus a = 1 and b = 1.
 """
 
 from __future__ import annotations
@@ -28,9 +32,17 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .exactnum import CycSum, UnitValue, is_simple_unit, root_of_unity
+from .exactnum import (
+    SIMPLE_VALUES,
+    CycSum,
+    UnitValue,
+    is_simple_unit,
+    root_of_unity,
+)
 from .solve import (
+    SETTLED_RELATIONS,
     LaurentPoly,
+    Relation,
     SolutionSet,
     has_nonsimple_point,
     solve_unit_circle,
@@ -291,32 +303,6 @@ def pending_terms(array: CountArray) -> PendingTerms:
     return PendingTerms(poly, amount)
 
 
-@dataclass(frozen=True)
-class Relation:
-    """One candidate constraint produced by a realness dichotomy.
-
-    States lhs = sign * rhs, both sides monomials in the structure's
-    variables; an empty exponent vector on the right denotes the
-    constant 1, so (a, -1, ()) reads "a = -1".
-    """
-
-    lhs_exps: tuple
-    rhs_sign: int
-    rhs_exps: tuple
-
-    def __str__(self) -> str:
-        def mono(exps):
-            if not exps or not any(exps):
-                return "1"
-            names = ("a", "b")
-            return "*".join(
-                f"{names[i]}^{e}" for i, e in enumerate(exps) if e
-            )
-
-        sign = "-" if self.rhs_sign < 0 else ""
-        return f"{mono(self.lhs_exps)} = {sign}{mono(self.rhs_exps)}"
-
-
 class UnsupportedPendingShape(ValueError):
     """The pending terms fit none of the realness dichotomies; the
     caller should fall back to solving the equation directly."""
@@ -395,23 +381,6 @@ def _unit_monomials(p: LaurentPoly):
 
 # --- simplicity -------------------------------------------------------
 
-_GENERIC_RELATION_TURNS = (
-    # (coeff on turn_a, coeff on turn_b, constant half-turns) with
-    # the relation satisfied when the combination is an integer:
-    # a = b            ->  ta - tb      in Z
-    ("a=b", 1, -1, 0),
-    ("a=conj(b)", 1, 1, 0),
-    ("a=-b", 1, -1, 1),
-    ("a=-conj(b)", 1, 1, 1),
-    ("a=b^2", 1, -2, 0),
-    ("a=-b^2", 1, -2, 1),
-    ("b=a^2", -2, 1, 0),
-    ("b=-a^2", -2, 1, 1),
-    ("a=-1", 1, 0, 1),
-    ("b=-1", 0, 1, 1),
-)
-
-
 def _as_turn(value) -> Optional[Fraction]:
     if isinstance(value, UnitValue):
         return value.turn
@@ -428,26 +397,19 @@ def is_simple(point, struct: AlphabetStructure, tol: float = 1e-9) -> bool:
     """Whether a solution point stays inside the already-settled cases.
 
     One-variable structures: membership of a in the eight values
-    {1, -1, i, -i, w, w^2, -w, -w^2}. GENERIC: any of the ten relations
-    a = +-b, a = +-conj(b), a = +-b^2, b = +-a^2, a = -1, b = -1.
+    {1, -1, i, -i, w, w^2, -w, -w^2}. GENERIC: any of the ten settled
+    relations a = +-b, a = +-conj(b), a = +-b^2, b = +-a^2, a = -1,
+    b = -1, tested exactly when both letters are exact.
     """
     if struct.name != "GENERIC":
         if isinstance(point, UnitValue):
             return is_simple_unit(point, tol)
         z = complex(point)
-        return any(
-            abs(z - cmath.exp(2j * math.pi * (k / 12))) <= tol
-            for k in range(12)
-            if k % 2 == 0 or k in (3, 9)
-        )
+        return any(abs(z - v) <= tol for v in SIMPLE_VALUES)
     a, b = point
     ta, tb = _as_turn(a), _as_turn(b)
     if ta is not None and tb is not None:
-        for _, ca, cb, half in _GENERIC_RELATION_TURNS:
-            combo = ca * ta + cb * tb + Fraction(half, 2)
-            if combo.denominator == 1:
-                return True
-        return False
+        return any(rel.holds(ta, tb) for rel in SETTLED_RELATIONS)
     return ten_relation_residual(_as_complex(a), _as_complex(b)) <= tol
 
 
@@ -637,9 +599,9 @@ def _generic_tag_table() -> dict:
     return table
 
 
-def _group_shapes(counts: tuple):
+def _group_shapes(counts: tuple) -> list:
     pairs = ((counts[1], counts[2]), (counts[3], counts[4]), (counts[5], counts[6]))
-    return pairs, sorted(tuple(sorted(p, reverse=True)) for p in pairs)
+    return sorted(tuple(sorted(p, reverse=True)) for p in pairs)
 
 
 _GENERIC_GROUP_EXPS = (
@@ -663,39 +625,31 @@ def _generic_tree_nonsimple(counts: tuple) -> bool:
     if counts == (0, 1, 1, 1, 1, 1, 1):
         return True
     n1 = counts[0]
-    pairs, shapes = _group_shapes(counts)
+    shapes = _group_shapes(counts)
     if n1 == 0 and shapes == [(0, 0), (1, 1), (2, 2)]:
         return True
+    if n1 == 1 and shapes == [(1, 0), (1, 1), (2, 0)]:
+        return True
+    doubled = []
+    singles = []
+    for group in _oriented_values(counts):
+        for exps, count in group:
+            if count == 2:
+                doubled.append(exps)
+            elif count == 1:
+                singles.append(exps)
     if n1 == 2 and shapes == [(1, 0), (1, 0), (2, 0)]:
-        doubled = []
-        singles = []
-        for group in _oriented_values(counts):
-            for exps, count in group:
-                if count == 2:
-                    doubled.append(exps)
-                elif count == 1:
-                    singles.append(exps)
         (u,) = doubled
         v, w = singles
         diff1 = tuple(x - y for x, y in zip(v, w))
         diff2 = tuple(y - x for x, y in zip(v, w))
         return u != diff1 and u != diff2
     if n1 == 1 and shapes == [(1, 0), (2, 0), (2, 0)]:
-        doubled = []
-        singles = []
-        for group in _oriented_values(counts):
-            for exps, count in group:
-                if count == 2:
-                    doubled.append(exps)
-                elif count == 1:
-                    singles.append(exps)
         u, v = doubled
         (w,) = singles
         sum1 = tuple(x + y for x, y in zip(u, w))
         sum2 = tuple(x + y for x, y in zip(v, w))
         return v != sum1 and u != sum2
-    if n1 == 1 and shapes == [(1, 0), (1, 1), (2, 0)]:
-        return True
     return False
 
 
@@ -815,51 +769,12 @@ def classify_array(array: CountArray) -> ArrayClassification:
     )
 
 
-# The ten simple relations plus the two degenerate identifications,
-# expressed as substitutions into the surviving variable: sign flips
-# when the substituted monomial carries -1 to an odd power.
-_GENERIC_SUBSTITUTIONS = (
-    # (name, survivor index, exps -> (sign, exponent), fixed value or None)
-    ("a=b", 1, lambda e1, e2: (1, e1 + e2), None),
-    ("a=conj(b)", 1, lambda e1, e2: (1, e2 - e1), None),
-    ("a=-b", 1, lambda e1, e2: ((-1) ** e1, e1 + e2), None),
-    ("a=-conj(b)", 1, lambda e1, e2: ((-1) ** e1, e2 - e1), None),
-    ("a=b^2", 1, lambda e1, e2: (1, 2 * e1 + e2), None),
-    ("a=-b^2", 1, lambda e1, e2: ((-1) ** e1, 2 * e1 + e2), None),
-    ("b=a^2", 0, lambda e1, e2: (1, e1 + 2 * e2), None),
-    ("b=-a^2", 0, lambda e1, e2: ((-1) ** e2, e1 + 2 * e2), None),
-    ("a=-1", 1, lambda e1, e2: ((-1) ** e1, e2), Fraction(1, 2)),
-    ("b=-1", 0, lambda e1, e2: ((-1) ** e2, e1), Fraction(1, 2)),
-    ("a=1", 1, lambda e1, e2: (1, e2), Fraction(0)),
-    ("b=1", 0, lambda e1, e2: (1, e1), Fraction(0)),
+# The substitution sweep: the ten settled relations plus the two
+# degenerate identifications a = 1 and b = 1.
+_GENERIC_SWEEP = SETTLED_RELATIONS + (
+    Relation((1, 0), 1, (0, 0)),
+    Relation((0, 1), 1, (0, 0)),
 )
-
-
-def _pair_from_relation(name: str, fixed, survivor_turn: Fraction):
-    """Exact (turn_a, turn_b) for a root found under a substitution."""
-    t = survivor_turn
-    half = Fraction(1, 2)
-    if name == "a=b":
-        return t, t
-    if name == "a=conj(b)":
-        return -t, t
-    if name == "a=-b":
-        return t + half, t
-    if name == "a=-conj(b)":
-        return -t + half, t
-    if name == "a=b^2":
-        return 2 * t, t
-    if name == "a=-b^2":
-        return 2 * t + half, t
-    if name == "b=a^2":
-        return t, 2 * t
-    if name == "b=-a^2":
-        return t, 2 * t + half
-    if name in ("a=-1", "a=1"):
-        return fixed, t
-    if name in ("b=-1", "b=1"):
-        return t, fixed
-    raise ValueError(name)
 
 
 def _verify_pair_exact(p: LaurentPoly, ta: Fraction, tb: Fraction) -> bool:
@@ -887,18 +802,13 @@ def _classify_generic(array: CountArray) -> ArrayClassification:
     exact_pairs = []
     witnesses = []
     seen = set()
-    for name, survivor, sub, fixed in _GENERIC_SUBSTITUTIONS:
-        acc = {}
-        for (e1, e2), c in p.coeffs.items():
-            sign, e = sub(e1, e2)
-            acc[(e,)] = acc.get((e,), 0) + sign * c
-        residue = LaurentPoly((array.structure.variables[survivor],), acc)
+    for rel in _GENERIC_SWEEP:
+        residue = rel.substitute(p)
         if residue.is_zero():
             continue
         sol = solve_unit_circle(residue)
         for u in sol.exact_points:
-            pair = _pair_from_relation(name, fixed, u.turn)
-            ta, tb = (x % 1 for x in pair)
+            ta, tb = rel.point(u.turn)
             if (ta, tb) in seen:
                 continue
             seen.add((ta, tb))
@@ -912,7 +822,7 @@ def _classify_generic(array: CountArray) -> ArrayClassification:
             )
         for ap in sol.algebraic_points:
             for theta in (ap.theta, -ap.theta):
-                witnesses.append(_float_pair(name, fixed, theta))
+                witnesses.append(rel.point(theta, math.pi, 2 * math.pi))
 
     nonsimple = _generic_tree_nonsimple(counts)
     witness = None
@@ -937,28 +847,3 @@ def _classify_generic(array: CountArray) -> ArrayClassification:
     else:
         agree = None  # absence of non-simple points is not decided here
     return ArrayClassification(array, label, sol, False, agree, witness)
-
-
-def _float_pair(name: str, fixed, theta: float):
-    tau = 2 * math.pi
-    if name == "a=b":
-        return theta % tau, theta % tau
-    if name == "a=conj(b)":
-        return (-theta) % tau, theta % tau
-    if name == "a=-b":
-        return (theta + math.pi) % tau, theta % tau
-    if name == "a=-conj(b)":
-        return (-theta + math.pi) % tau, theta % tau
-    if name == "a=b^2":
-        return (2 * theta) % tau, theta % tau
-    if name == "a=-b^2":
-        return (2 * theta + math.pi) % tau, theta % tau
-    if name == "b=a^2":
-        return theta % tau, (2 * theta) % tau
-    if name == "b=-a^2":
-        return theta % tau, (2 * theta + math.pi) % tau
-    if name in ("a=-1", "a=1"):
-        return float(fixed) * tau, theta % tau
-    if name in ("b=-1", "b=1"):
-        return theta % tau, float(fixed) * tau
-    raise ValueError(name)

@@ -22,16 +22,21 @@ TOL = 1e-9
 DEFAULT_ORDER = 24
 ORDER_CAP = 5040
 
-_SUGAR = {
-    Fraction(0): "1",
-    Fraction(1, 2): "-1",
-    Fraction(1, 4): "i",
-    Fraction(3, 4): "-i",
-    Fraction(1, 3): "w",
-    Fraction(2, 3): "w2",
-    Fraction(5, 6): "-w",
-    Fraction(1, 6): "-w2",
+# The eight simple values {1, -1, i, -i, w, w^2, -w, -w^2}, the points
+# with x^4 = 1 or x^6 = 1, as twelfths of a turn with their printed
+# names. This is the package's only list of them: every simplicity test
+# and every printed name reads it.
+_SIMPLE_NAMES = {
+    Fraction(k, 12): name
+    for k, name in (
+        (0, "1"), (6, "-1"), (3, "i"), (9, "-i"),
+        (4, "w"), (8, "w2"), (10, "-w"), (2, "-w2"),
+    )
 }
+SIMPLE_TURNS = frozenset(_SIMPLE_NAMES)
+SIMPLE_VALUES = tuple(
+    cmath.exp(2j * math.pi * float(t)) for t in sorted(SIMPLE_TURNS)
+)
 
 
 class UnitValue:
@@ -132,7 +137,7 @@ class UnitValue:
     def __str__(self) -> str:
         if self.turn is None:
             return f"f({self.re!r},{self.im!r})"
-        s = _SUGAR.get(self.turn)
+        s = _SIMPLE_NAMES.get(self.turn)
         if s is not None:
             return s
         return f"e({self.turn.numerator}/{self.turn.denominator})"
@@ -152,19 +157,12 @@ I_UNIT = root_of_unity(1, 4)
 OMEGA = root_of_unity(1, 3)
 OMEGA2 = root_of_unity(2, 3)
 
-_SIMPLE_TURNS = frozenset(
-    Fraction(k, 12) for k in (0, 6, 3, 9, 4, 8, 10, 2)
-)  # 1, -1, i, -i, w, w2, -w, -w2
-
-
 def is_simple_unit(u: UnitValue, tol: float = TOL) -> bool:
     """Membership in {1, -1, i, -i, w, w^2, -w, -w^2} (x^4=1 or x^6=1)."""
     if u.turn is not None:
-        return u.turn in _SIMPLE_TURNS
+        return u.turn in SIMPLE_TURNS
     z = u.as_complex()
-    return any(
-        abs(z - cmath.exp(2j * math.pi * float(t))) <= tol for t in _SIMPLE_TURNS
-    )
+    return any(abs(z - v) <= tol for v in SIMPLE_VALUES)
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,10 @@ instead of a bare yes/no.
 h2_alphabet_relations collects the constraints a 2x2 unimodular
 orthogonality pattern forces on a three-entry alphabet {1,a,b} and
 solves the pairwise combinations exactly.
+
+Candidate points are judged simple against ``solve.SETTLED_RELATIONS``,
+in cosine and sine form, and cosines against those of the eight simple
+values of ``exactnum.SIMPLE_VALUES``.
 """
 
 from __future__ import annotations
@@ -36,13 +40,14 @@ from sympy import Rational, Symbol
 from .arrays import (
     STRUCTURES,
     CountArray,
-    Relation,
     is_simple,
     original_equation,
 )
-from .exactnum import root_of_unity
+from .exactnum import SIMPLE_VALUES, root_of_unity
 from .solve import (
+    SETTLED_RELATIONS,
     LaurentPoly,
+    Relation,
     SolutionSet,
     has_nonsimple_point,
     solve_unit_circle,
@@ -54,23 +59,10 @@ _T = Symbol("t", real=True)
 _CONJ_STRUCT = STRUCTURES["CONJ"]
 _GENERIC_STRUCT = STRUCTURES["GENERIC"]
 
-_SIMPLE_COSINES = (
-    sympy.Integer(-1),
-    Rational(-1, 2),
-    sympy.Integer(0),
-    Rational(1, 2),
-    sympy.Integer(1),
-)
-
-# cos(2*pi*turn) for the rational cosines above, used to rebuild exact
-# turns from candidate cosine values; the sine sign picks the half.
-_COS_TO_TURN = {
-    sympy.Integer(1): Fraction(0),
-    Rational(1, 2): Fraction(1, 6),
-    sympy.Integer(0): Fraction(1, 4),
-    Rational(-1, 2): Fraction(1, 3),
-    sympy.Integer(-1): Fraction(1, 2),
-}
+# The cosines of the eight simple values: -1, -1/2, 0, 1/2, 1. Twice
+# each is an integer, so rounding the float reads it exactly, and
+# importing the module evaluates no sympy trigonometry.
+_SIMPLE_COSINES = tuple(sorted({Rational(round(2 * v.real), 2) for v in SIMPLE_VALUES}))
 
 
 class UnsupportedPair(NotImplementedError):
@@ -250,22 +242,30 @@ def _sine(sign: int, cos_value):
     return sign * sympy.sqrt(1 - cos_value**2)
 
 
+def _power_cos_sin(c, s, k):
+    """cos and sin of k*t from c = cos t, s = sin t, for k in {0, -1, 1, 2}."""
+    if k == 0:
+        return 1, 0
+    if k == 2:
+        return 2 * c**2 - 1, 2 * c * s
+    return c, k * s
+
+
 def _candidate_simple(x2, sa, x3, sb) -> bool:
-    """Exact test of the ten settled relations at one candidate point."""
-    s1 = _sine(sa, x2)
-    s2 = _sine(sb, x3)
-    checks = (
-        (x2 - x3, s1 - s2),                        # a = b
-        (x2 - x3, s1 + s2),                        # a = conj(b)
-        (x2 + x3, s1 + s2),                        # a = -b
-        (x2 + x3, s1 - s2),                        # a = -conj(b)
-        (x2 - (2 * x3**2 - 1), s1 - 2 * x3 * s2),  # a = b^2
-        (x2 + (2 * x3**2 - 1), s1 + 2 * x3 * s2),  # a = -b^2
-        (x3 - (2 * x2**2 - 1), s2 - 2 * x2 * s1),  # b = a^2
-        (x3 + (2 * x2**2 - 1), s2 + 2 * x2 * s1),  # b = -a^2
-        (x2 + 1, s1),                              # a = -1
-        (x3 + 1, s2),                              # b = -1
-    )
+    """Exact test of the ten settled relations at one candidate point.
+
+    Each relation x = s*y^k holds when the cosines and the sines of x
+    and s*y^k agree.
+    """
+    cos_sin = ((x2, _sine(sa, x2)), (x3, _sine(sb, x3)))
+    checks = []
+    for rel in SETTLED_RELATIONS:
+        cx, sx = cos_sin[rel.letter]
+        cy, sy = _power_cos_sin(*cos_sin[1 - rel.letter], rel.power)
+        if rel.rhs_sign < 0:
+            checks.append((cx + cy, sx + sy))
+        else:
+            checks.append((cx - cy, sx - sy))
     return any(_eq(re, 0) and _eq(im, 0) for re, im in checks)
 
 
@@ -434,18 +434,9 @@ def _difference_route(pA: LaurentPoly, pB: LaurentPoly) -> "PairVerdict":
     return family
 
 
-def _substitute_letter(p: LaurentPoly, group: str, value: int) -> LaurentPoly:
-    """Residue of p under a = value, b = value, or a = value*b."""
-    acc = {}
-    for (e1, e2), c in p.coeffs.items():
-        if group == "a":
-            key, factor = (e2,), value ** abs(e1)
-        elif group == "b":
-            key, factor = (e1,), value ** abs(e2)
-        else:  # a identified with value * b
-            key, factor = (e1 + e2,), value ** abs(e1)
-        acc[key] = acc.get(key, 0) + c * factor
-    return LaurentPoly(("x",), acc)
+# The variable groups of the difference and ruled-line routes, read as
+# relations x = s*y^k: a = value, b = value, or a = value*b.
+_GROUP_EXPS = {"a": ((1, 0), (0, 0)), "b": ((0, 1), (0, 0)), "a/b": ((1, 0), (0, 1))}
 
 
 def _substitution_points(group: str, value: int, pA, pB):
@@ -454,8 +445,10 @@ def _substitution_points(group: str, value: int, pA, pB):
     Returns None when both residues vanish identically, meaning the
     whole one-parameter family is common.
     """
-    rA = _substitute_letter(pA, group, value)
-    rB = _substitute_letter(pB, group, value)
+    lhs, rhs = _GROUP_EXPS[group]
+    rel = Relation(lhs, value, rhs)
+    rA = rel.substitute(pA)
+    rB = rel.substitute(pB)
     if rA.is_zero() and rB.is_zero():
         return None
     if rA.is_zero() or rB.is_zero():
@@ -466,17 +459,7 @@ def _substitution_points(group: str, value: int, pA, pB):
         if g.degree() == 0:
             return []
         shared = solve_unit_circle(_intpoly_to_laurent(g, "x"))
-    turn = Fraction(0) if value == 1 else Fraction(1, 2)
-    points = []
-    for u in shared.exact_points:
-        tx = u.turn
-        if group == "a":
-            ta, tb = turn, tx
-        elif group == "b":
-            ta, tb = tx, turn
-        else:
-            ta, tb = (tx + turn) % 1, tx
-        points.append(_point_from_turns(ta, tb))
+    points = [_point_from_turns(*rel.point(u.turn)) for u in shared.exact_points]
     for ap in shared.algebraic_points:
         points.extend(_algebraic_line_points(group, value, ap))
     return points

@@ -11,6 +11,12 @@ conj(r) = 1/r into the factor, making it self-reciprocal, and real
 unimodular roots are just +-1, whose minimal polynomials are
 cyclotomic. That argument makes the decomposition below a complete
 description, not a heuristic.
+
+A point is simple when a letter is one of the eight values of
+``exactnum.SIMPLE_TURNS`` (complex values in ``exactnum.SIMPLE_VALUES``)
+or when (a, b) satisfies one of the ten relations x = s*y^k of
+``SETTLED_RELATIONS`` below. Every simplicity predicate, residual and
+substitution of the package is read off these two tables.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Iterable, Optional
 import sympy
 from sympy import Poly, Symbol
 
-from .exactnum import TOL, UnitValue, root_of_unity
+from .exactnum import SIMPLE_VALUES, is_simple_unit, root_of_unity
 
 _X = Symbol("x")
 
@@ -296,58 +302,138 @@ def _reverify(p: LaurentPoly, sol: SolutionSet) -> None:
             raise AssertionError("solution point fails re-verification")
 
 
-SIMPLE_TURNS = frozenset(
-    Fraction(k, 12) for k in (0, 6, 3, 9, 4, 8, 10, 2)
-)
+def has_nonsimple_point(sol: SolutionSet) -> bool:
+    """Whether a point leaves the eight simple values.
 
-
-def is_simple_point(u: UnitValue) -> bool:
-    """Membership in the eight distinguished values 1,-1,i,-i,w,w2,-w,-w2."""
-    if u.turn is not None:
-        return u.turn in SIMPLE_TURNS
-    z = u.as_complex()
-    return any(
-        abs(z - cmath.exp(2j * math.pi * float(t))) <= TOL for t in SIMPLE_TURNS
-    )
-
-
-def solution_set_is_simple_only(sol: SolutionSet) -> bool:
-    """True when every point is one of the eight distinguished values.
-
-    Algebraic points always count as non-simple: a distinguished value
-    has rational cosine and would have been captured in a cyclotomic
-    factor instead.
+    Algebraic points always count as non-simple: a simple value has
+    rational cosine and would have been captured in a cyclotomic factor
+    instead.
     """
     if sol.algebraic_points:
-        return False
-    return all(is_simple_point(u) for u in sol.exact_points)
-
-
-def has_nonsimple_point(sol: SolutionSet) -> bool:
-    if sol.algebraic_points:
         return True
-    return any(not is_simple_point(u) for u in sol.exact_points)
+    return any(not is_simple_unit(u) for u in sol.exact_points)
+
+
+# --- the settled relations ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class Relation:
+    """One constraint lhs = sign * rhs between monomials in the letters.
+
+    Both sides are exponent vectors over the letters; an all-zero (or
+    empty) vector denotes the constant 1, so ((1, 0), -1, (0, 0)) reads
+    "a = -1". The realness dichotomies of ``arrays`` produce relations of
+    any shape. A relation between the two letters a, b reads
+    x = s * y^k with k in {0, -1, 1, 2}; ``letter``, ``power`` and the
+    methods below assume that shape.
+    """
+
+    lhs_exps: tuple
+    rhs_sign: int
+    rhs_exps: tuple
+
+    @property
+    def letter(self) -> int:
+        """Index of x, the letter on the left of x = s * y^k."""
+        return self.lhs_exps.index(1)
+
+    @property
+    def power(self) -> int:
+        """The k of x = s * y^k."""
+        return self.rhs_exps[1 - self.letter]
+
+    def point(self, t, half=Fraction(1, 2), period=1) -> tuple:
+        """(t_a, t_b) on the relation with y at t, each mod ``period``.
+
+        t_x = k*t_y, plus ``half`` when s = -1. Turns by default; pass
+        half=pi and period=2*pi for angles.
+        """
+        tx = self.power * t
+        if self.rhs_sign < 0:
+            tx = tx + half
+        pair = (tx % period, t % period)
+        return pair if self.letter == 0 else pair[::-1]
+
+    def holds(self, ta: Fraction, tb: Fraction) -> bool:
+        """Exact test at the roots of unity a = e(ta), b = e(tb)."""
+        return self.point((ta, tb)[1 - self.letter]) == (ta % 1, tb % 1)
+
+    def substitute(self, p: LaurentPoly) -> LaurentPoly:
+        """p(a, b) on the relation, as a polynomial in the letter y.
+
+        The monomial x^ex * y^ey becomes s^ex * y^(ey + k*ex).
+        """
+        x, k, s = self.letter, self.power, self.rhs_sign
+        acc = {}
+        for exps, c in p.coeffs.items():
+            ex, ey = exps[x], exps[1 - x]
+            key = (ey + k * ex,)
+            acc[key] = acc.get(key, 0) + s ** (ex % 2) * c
+        return LaurentPoly((p.variables[1 - x],), acc)
+
+    def __str__(self) -> str:
+        def mono(exps):
+            if not exps or not any(exps):
+                return "1"
+            names = ("a", "b")
+            return "*".join(
+                f"{names[i]}^{e}" for i, e in enumerate(exps) if e
+            )
+
+        sign = "-" if self.rhs_sign < 0 else ""
+        return f"{mono(self.lhs_exps)} = {sign}{mono(self.rhs_exps)}"
+
+
+_A, _B = (1, 0), (0, 1)
+
+# The ten relations on (a, b) that hand a matrix to an already settled
+# case. This is the package's only list of them: the float residual, the
+# exact turn test, the torus substitutions and the sympy cosine checks
+# of ``pairs`` are all read off it.
+SETTLED_RELATIONS = (
+    Relation(_A, 1, (0, 1)),    # a = b
+    Relation(_A, 1, (0, -1)),   # a = conj(b)
+    Relation(_A, -1, (0, 1)),   # a = -b
+    Relation(_A, -1, (0, -1)),  # a = -conj(b)
+    Relation(_A, 1, (0, 2)),    # a = b^2
+    Relation(_A, -1, (0, 2)),   # a = -b^2
+    Relation(_B, 1, (2, 0)),    # b = a^2
+    Relation(_B, -1, (2, 0)),   # b = -a^2
+    Relation(_A, -1, (0, 0)),   # a = -1
+    Relation(_B, -1, (0, 0)),   # b = -1
+)
 
 
 # --- two-variable equations on the torus --------------------------------
 
 _TA, _TB = Symbol("ta"), Symbol("tb")
-_EIGHT_VALUES = tuple(
-    cmath.exp(2j * math.pi * float(t)) for t in sorted(SIMPLE_TURNS)
+
+_SETTLED_FORMS = tuple(
+    (rel.letter, rel.rhs_sign < 0, rel.power) for rel in SETTLED_RELATIONS
 )
 
 
-def ten_relation_residual(a, b) -> float:
-    """Smallest deviation from the ten settled two-letter relations.
+def _float_power(y, k):
+    # conj(y) rather than 1/y: both agree on the circle, and conjugate()
+    # works the same for complex and mpmath values
+    if k == 0:
+        return 1
+    if k == -1:
+        return y.conjugate()
+    return y * y if k == 2 else y
 
-    The relations are a = +-b, a = +-conj(b), a = +-b^2, b = +-a^2,
-    a = -1 and b = -1. Works on complex or mpmath values alike.
+
+def ten_relation_residual(a, b) -> float:
+    """Smallest deviation |x - s*y^k| from the ten settled relations.
+
+    Works on complex or mpmath values alike.
     """
-    cb = b.conjugate()
+    letters = (a, b)
     return min(
-        abs(a - b), abs(a - cb), abs(a + b), abs(a + cb),
-        abs(a - b * b), abs(a + b * b), abs(b - a * a), abs(b + a * a),
-        abs(a + 1), abs(b + 1),
+        abs(letters[x] + _float_power(letters[1 - x], k)) if negative
+        else abs(letters[x] - _float_power(letters[1 - x], k))
+        for x, negative, k in _SETTLED_FORMS
     )
 
 
@@ -360,7 +446,7 @@ def pinned_residual(a, b) -> float:
     matrix either.
     """
     probes = (a, b, a * b.conjugate())
-    return min(abs(v - w) for v in probes for w in _EIGHT_VALUES)
+    return min(abs(v - w) for v in probes for w in SIMPLE_VALUES)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chmkit.arrays import (
+    _GENERIC_SWEEP,
     STRUCTURES,
     CountArray,
     PendingTerms,
@@ -28,8 +30,15 @@ from chmkit.arrays import (
     realness_cases,
     structure,
 )
-from chmkit.exactnum import OMEGA, root_of_unity
-from chmkit.solve import LaurentPoly, solve_torus
+from chmkit.exactnum import OMEGA, CycSum, UnitValue, is_simple_unit, root_of_unity
+from chmkit.pairs import _candidate_simple
+from chmkit.solve import (
+    SETTLED_RELATIONS,
+    LaurentPoly,
+    solve_torus,
+    solve_unit_circle,
+    ten_relation_residual,
+)
 
 
 CONJ = STRUCTURES["CONJ"]
@@ -303,6 +312,110 @@ def test_is_simple_generic_complex_pairs():
     assert is_simple((z, z * z), GENERIC)                  # b = a^2
     assert is_simple((-z.conjugate(), z), GENERIC)
     assert not is_simple((z, cmath.exp(2.5j)), GENERIC)
+
+
+# --- the settled relations: one table, every encoding ----------------------
+
+
+def _unit(t: Fraction):
+    return root_of_unity(t.numerator, t.denominator)
+
+
+def _cyc_relation_holds(rel: Relation, turns: tuple) -> bool:
+    """x - s*y^k == 0 as an exact sum of 24th roots of unity."""
+
+    def monomial(exps):
+        exponent = sum(24 * e * t for e, t in zip(exps, turns))
+        return CycSum.from_exponents(24, [int(exponent)])
+
+    lhs, rhs = monomial(rel.lhs_exps), monomial(rel.rhs_exps)
+    return (lhs + rhs if rel.rhs_sign < 0 else lhs - rhs).is_zero()
+
+
+def _cos_and_sine_sign(t: Fraction):
+    cos = sympy.cos(2 * sympy.pi * sympy.Rational(t.numerator, t.denominator))
+    sign = 0 if t in (0, Fraction(1, 2)) else (1 if t < Fraction(1, 2) else -1)
+    return cos, sign
+
+
+def test_settled_relations_agree_across_encodings():
+    """Exact turns, the float residual and cyclotomic sums give one
+    answer for the same table, in two variables and in one."""
+    grid = [Fraction(k, 24) for k in range(24)]
+    simple_count = 0
+    for ta, tb in itertools.product(grid, grid):
+        a, b = _unit(ta), _unit(tb)
+        exact = is_simple((a, b), GENERIC)
+        simple_count += exact
+        assert exact == (ten_relation_residual(a.as_complex(), b.as_complex()) <= 1e-9)
+        on_relation = [_cyc_relation_holds(rel, (ta, tb)) for rel in SETTLED_RELATIONS]
+        assert exact == any(on_relation)
+        assert [rel.holds(ta, tb) for rel in SETTLED_RELATIONS] == on_relation
+    assert 0 < simple_count < len(grid) ** 2
+    for t in grid:
+        z = _unit(t).as_complex()
+        float_unit = UnitValue.from_float(z.real, z.imag)
+        assert is_simple_unit(_unit(t)) == is_simple_unit(float_unit)
+
+
+def test_settled_relations_cosine_form_agrees():
+    """pairs' exact cosine-and-sine checks against the exact turn test."""
+    # The sympy form costs about 35 ms a point, 5 s on the whole 1/12
+    # grid. The settled set is closed under swapping the letters and
+    # under conjugating both (asserted), so one point per orbit of those
+    # two maps covers the grid: 43 of 144.
+    twelfths = [Fraction(k, 12) for k in range(12)]
+    for ta, tb in itertools.product(twelfths, twelfths):
+        exact = is_simple((_unit(ta), _unit(tb)), GENERIC)
+        assert exact == is_simple((_unit(tb), _unit(ta)), GENERIC)
+        assert exact == is_simple((_unit(-ta), _unit(-tb)), GENERIC)
+    orbits = {
+        min((ta, tb), (tb, ta), (-ta % 1, -tb % 1), (-tb % 1, -ta % 1))
+        for ta, tb in itertools.product(twelfths, twelfths)
+    }
+    assert len(orbits) == 43
+    for ta, tb in sorted(orbits):
+        expected = is_simple((_unit(ta), _unit(tb)), GENERIC)
+        got = _candidate_simple(*_cos_and_sine_sign(ta), *_cos_and_sine_sign(tb))
+        assert got == expected, (ta, tb)
+
+
+def test_settled_substitutions_restrict_the_equation():
+    """Each relation's one-variable substitution is p on the relation,
+    and each of its roots, exact or algebraic, recovers a point on it."""
+    relations = SETTLED_RELATIONS + (
+        Relation((1, 0), 1, (0, 0)),  # a = 1
+        Relation((0, 1), 1, (0, 0)),  # b = 1
+    )
+    assert set(_GENERIC_SWEEP) == set(relations)
+    rng = random.Random(12)
+    candidates = [a for a in enumerate_count_arrays(GENERIC)
+                  if not original_equation(a).is_zero()]
+    ys = [cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(3)]
+    algebraic = 0
+    for arr in rng.sample(candidates, 30):
+        p = original_equation(arr)
+        for rel in relations:
+            q = rel.substitute(p)
+            for y in ys:
+                x = rel.rhs_sign * y ** rel.power
+                ab = (x, y) if rel.letter == 0 else (y, x)
+                on_relation = 0j if q.is_zero() else q.evaluate(y)
+                assert abs(on_relation - p.evaluate(*ab)) < 1e-9, (arr, rel)
+            if q.is_zero():
+                continue
+            sol = solve_unit_circle(q)
+            for u in sol.exact_points:
+                ta, tb = rel.point(u.turn)
+                assert _relation_holds(rel, {0: ta, 1: tb}), (arr, rel, u)
+            for ap in sol.algebraic_points:
+                t1, t2 = rel.point(ap.theta, math.pi, 2 * math.pi)
+                a, b = cmath.exp(1j * t1), cmath.exp(1j * t2)
+                x, y = (a, b) if rel.letter == 0 else (b, a)
+                assert abs(x - rel.rhs_sign * y ** rel.power) < 1e-9, (arr, rel)
+                assert abs(p.evaluate(a, b)) < 1e-9, (arr, rel)
+                algebraic += 1
+    assert algebraic
 
 
 def test_witness_search_requires_two_variables():

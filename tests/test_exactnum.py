@@ -96,8 +96,8 @@ def test_is_simple_unit():
     assert all(is_simple_unit(u) for u in simple)
     assert not is_simple_unit(root_of_unity(1, 5))
     assert not is_simple_unit(root_of_unity(1, 12))
-    z = cmath.exp(2j * math.pi / 3)
-    assert is_simple_unit(UnitValue.from_float(z.real, z.imag))
+    for z in (cmath.exp(2j * math.pi / 3), cmath.exp(2j * math.pi / 6)):
+        assert is_simple_unit(UnitValue.from_float(z.real, z.imag))
 
 
 def test_cube_roots_sum_to_zero():

@@ -10,17 +10,14 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chmkit.exactnum import OMEGA, OMEGA2, root_of_unity
+from chmkit.exactnum import SIMPLE_TURNS, root_of_unity
 from chmkit.solve import (
-    SIMPLE_TURNS,
     LaurentPoly,
     SolutionSet,
     TorusPoint,
     TorusSolution,
     has_nonsimple_point,
-    is_simple_point,
     pinned_residual,
-    solution_set_is_simple_only,
     solve_torus,
     solve_unit_circle,
     ten_relation_residual,
@@ -214,22 +211,10 @@ def test_simple_turns_are_the_eight_known_values():
     }
 
 
-def test_is_simple_point_exact_and_float():
-    assert is_simple_point(OMEGA)
-    assert is_simple_point(-OMEGA2)
-    assert not is_simple_point(root_of_unity(1, 5))
-    from chmkit.exactnum import UnitValue
-
-    z = cmath.exp(2j * math.pi / 6)
-    assert is_simple_point(UnitValue.from_float(z.real, z.imag))
-
-
 def test_solution_set_simplicity_predicates():
     simple = solve_unit_circle(lp({0: 2, 1: 2, -1: 2}))
-    assert solution_set_is_simple_only(simple)
     assert not has_nonsimple_point(simple)
     mixed = solve_unit_circle(lp({1: 1, -1: 1, 2: 2, -2: 2}))
-    assert not solution_set_is_simple_only(mixed)
     assert has_nonsimple_point(mixed)
 
 
