@@ -10,7 +10,14 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chmkit.exactnum import SIMPLE_TURNS, root_of_unity
+from chmkit.exactnum import (
+    OMEGA,
+    OMEGA2,
+    SIMPLE_TURNS,
+    UnitValue,
+    is_simple_unit,
+    root_of_unity,
+)
 from chmkit.solve import (
     LaurentPoly,
     SolutionSet,
@@ -209,6 +216,15 @@ def test_simple_turns_are_the_eight_known_values():
         Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
         Fraction(1, 3), Fraction(2, 3), Fraction(5, 6), Fraction(1, 6),
     }
+
+
+def test_is_simple_point_exact_and_float():
+    # The solvers judge each returned point with exactnum.is_simple_unit.
+    assert is_simple_unit(OMEGA)
+    assert is_simple_unit(-OMEGA2)
+    assert not is_simple_unit(root_of_unity(1, 5))
+    z = cmath.exp(2j * math.pi / 6)
+    assert is_simple_unit(UnitValue.from_float(z.real, z.imag))
 
 
 def test_solution_set_simplicity_predicates():
