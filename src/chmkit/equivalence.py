@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactnum import TOL, UnitValue
+from .exactnum import UnitValue
 from .matrices import Matrix6, apply_monomial, is_chm
 
 

@@ -11,6 +11,18 @@ candidates, and each candidate is accepted or rejected exactly against
 both imaginary parts. The verdict is therefore a proof, not a sampling
 claim: NoCommon and SimpleOnlyCommon enumerate every common point.
 
+Every candidate on that line is one real root theta of the quadric
+polynomial in the line parameter, and every quantity the tests need is
+a polynomial in theta, so they run in the number field Q(theta) =
+Q[t]/(m), m the irreducible factor with root theta (``_Field``). A
+quantity is zero exactly when its remainder mod m is; the sign of a
+non-zero one comes from exact rational interval arithmetic on theta's
+isolating interval, refined until the sign is fixed. A sine enters as
+s*sqrt(1 - x^2), and each sine test has the form a*sqrt(P) + b*sqrt(Q)
+= 0 with P, Q >= 0, which is decided by those two tests alone. No
+verdict rests on a numeric cut-off: the float re-evaluation of each
+common point at 1e-9 only guards against a bug, and raises if it fails.
+
 real_part_system exposes the line-meets-quadric elimination for the
 recurring special family where one equation reduces to x_j + 2*x_k = 0
 and the other spreads the coefficients {1,1,2,2} over a constant and
@@ -32,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional
 
 import sympy
@@ -62,40 +75,166 @@ _GENERIC_STRUCT = STRUCTURES["GENERIC"]
 # The cosines of the eight simple values: -1, -1/2, 0, 1/2, 1. Twice
 # each is an integer, so rounding the float reads it exactly, and
 # importing the module evaluates no sympy trigonometry.
-_SIMPLE_COSINES = tuple(sorted({Rational(round(2 * v.real), 2) for v in SIMPLE_VALUES}))
+_SIMPLE_COSINES = tuple(sorted({Fraction(round(2 * v.real), 2) for v in SIMPLE_VALUES}))
 
 
 class UnsupportedPair(NotImplementedError):
     """The pair falls outside the implemented elimination shapes."""
 
 
-def _eq(lhs, rhs=0) -> bool:
-    """Exact equality of two sympy constants, refusing to guess.
+# --- exact arithmetic in Q(theta) -----------------------------------------
 
-    False is only returned when the difference is provably nonzero;
-    a difference that is numerically tiny but symbolically undecided
-    raises instead of silently dropping a candidate.
+
+def _fraction(q) -> Fraction:
+    """A sympy Rational as a Fraction."""
+    return Fraction(int(q.p), int(q.q))
+
+
+def _horner(coeffs, x):
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+class _Field:
+    """Q(theta) = Q[t]/(m) for one real algebraic number theta.
+
+    ``minpoly`` is m, monic and irreducible, as ascending Fractions, and
+    theta is its only root in [lo, hi] (lo == hi when theta is
+    rational). An element is a polynomial in theta of degree below
+    deg m, so it is zero exactly when its remainder mod m is. The sign
+    of a non-zero element comes from exact interval Horner on [lo, hi];
+    while the enclosure still contains 0 the interval is bisected on
+    the sign of m. The enclosure shrinks onto the element's non-zero
+    value, so the loop always ends; the refined interval is kept for
+    the next test.
     """
-    diff = sympy.expand(lhs - rhs)
-    if diff == 0:
-        return True
-    verdict = diff.equals(0)
-    if verdict is None:
-        simplified = sympy.simplify(diff)
-        verdict = simplified == 0 or simplified.equals(0) is True
-    if not verdict and abs(diff.evalf(40)) < sympy.Float(10) ** -30:
-        raise ArithmeticError(f"undecided equality near zero: {diff}")
-    return bool(verdict)
+
+    __slots__ = ("minpoly", "lo", "hi", "_lo_positive")
+
+    def __init__(self, minpoly, lo: Fraction, hi: Fraction):
+        self.minpoly = tuple(minpoly)
+        self.lo, self.hi = lo, hi
+        self._lo_positive = _horner(self.minpoly, lo) > 0
+
+    @classmethod
+    def of_root(cls, root) -> "_Field":
+        """The field of a sympy Rational or a real ``CRootOf``."""
+        if root.is_Rational:
+            r = _fraction(root)
+            return cls((-r, Fraction(1)), r, r)
+        poly = sympy.Poly(root.poly)
+        (lo, hi), _ = poly.intervals()[root.index]
+        coeffs = [Fraction(int(c)) for c in reversed(poly.all_coeffs())]
+        return cls([c / coeffs[-1] for c in coeffs], _fraction(lo), _fraction(hi))
+
+    def __call__(self, *coeffs) -> "_Num":
+        """The element sum(coeffs[i] * theta^i)."""
+        c = list(coeffs)
+        d = len(self.minpoly) - 1
+        for top in range(len(c) - 1, d - 1, -1):
+            lead = c.pop()
+            if lead:
+                for j in range(d):
+                    c[top - d + j] -= lead * self.minpoly[j]
+        while c and not c[-1]:
+            c.pop()
+        return _Num(self, tuple(c))
+
+    def sign(self, coeffs) -> int:
+        if not coeffs:
+            return 0
+        while True:
+            low = high = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                ends = (low * self.lo, low * self.hi, high * self.lo, high * self.hi)
+                low, high = min(ends) + c, max(ends) + c
+            if low > 0:
+                return 1
+            if high < 0:
+                return -1
+            mid = (self.lo + self.hi) / 2
+            if (_horner(self.minpoly, mid) > 0) == self._lo_positive:
+                self.lo = mid
+            else:
+                self.hi = mid
 
 
-def _sign_of(value) -> int:
-    if _eq(value, 0):
-        return 0
-    return 1 if value.evalf(30) > 0 else -1
+class _Num:
+    """An element of a ``_Field``; +, - and * take ints and Fractions too."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: _Field, coeffs: tuple):
+        self.field = field
+        self.coeffs = coeffs
+
+    def __add__(self, other):
+        terms = other.coeffs if isinstance(other, _Num) else (other,)
+        return self.field(*(
+            x + y for x, y in zip_longest(self.coeffs, terms, fillvalue=0)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Num(self.field, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Num):
+            return self.field(*(c * other for c in self.coeffs))
+        prod = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                prod[i + j] += x * y
+        return self.field(*prod)
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def sign(self) -> int:
+        return self.field.sign(self.coeffs)
 
 
-def _in_unit_interval(value) -> bool:
-    return bool(value >= -1) and bool(value <= 1)
+def _real_root_fields(poly):
+    """Each distinct real root of ``poly``, in increasing order, as the
+    pair (sympy root, its field).
+
+    ``real_roots`` lists the roots with multiplicity; without radicals
+    it names the same roots in the same order as a Rational or a
+    ``CRootOf``, which carries the root's irreducible factor.
+    """
+    previous = None
+    for root, exact in zip(poly.real_roots(), poly.real_roots(radicals=False)):
+        if exact != previous:
+            previous = exact
+            yield root, _Field.of_root(exact)
+
+
+def _in_unit_interval(x: _Num) -> bool:
+    return (x + 1).sign() >= 0 and (1 - x).sign() >= 0
+
+
+def _sqrt_sum_vanishes(alpha: _Num, p: _Num, beta: _Num, q: _Num) -> bool:
+    """Whether alpha*sqrt(p) + beta*sqrt(q) = 0, for p, q >= 0.
+
+    Either both terms vanish, or neither does and they cancel: alpha
+    and beta have opposite signs and alpha^2 p = beta^2 q.
+    """
+    first = alpha.is_zero() or p.is_zero()
+    second = beta.is_zero() or q.is_zero()
+    if first or second:
+        return first and second
+    return ((alpha * alpha * p - beta * beta * q).is_zero()
+            and alpha.sign() == -beta.sign())
 
 
 # --- one-variable pairs -------------------------------------------------
@@ -203,11 +342,12 @@ def _imag_linear(p: LaurentPoly):
     return u, v, w
 
 
-def _imag_vanishes(imcoeffs, x2, x3, s1, s2) -> bool:
-    # Im p = s1*(u + w*x3) + s2*(v - w*x2) after expanding sin(t1-t2)
+def _imag_vanishes(imcoeffs, x2: _Num, x3: _Num, sa: int, sb: int) -> bool:
+    # Im p = s1*(u + w*x3) + s2*(v - w*x2) after expanding sin(t1-t2),
+    # with s1 = sa*sqrt(1 - x2^2) and s2 = sb*sqrt(1 - x3^2)
     u, v, w = imcoeffs
-    expr = s1 * (u + w * x3) + s2 * (v - w * x2)
-    return _eq(expr, 0)
+    return _sqrt_sum_vanishes(sa * (u + w * x3), 1 - x2 * x2,
+                              sb * (v - w * x2), 1 - x3 * x3)
 
 
 @dataclass(frozen=True)
@@ -236,37 +376,34 @@ class CommonPoint:
         return t1, t2
 
 
-def _sine(sign: int, cos_value):
-    if sign == 0:
-        return sympy.Integer(0)
-    return sign * sympy.sqrt(1 - cos_value**2)
-
-
-def _power_cos_sin(c, s, k):
-    """cos and sin of k*t from c = cos t, s = sin t, for k in {0, -1, 1, 2}."""
+def _power_cos_sin(c: _Num, s: int, k: int):
+    """cos(k*t) and g with sin(k*t) = g*sqrt(1 - c^2), for c = cos t and
+    sin t = s*sqrt(1 - c^2), k in {0, -1, 1, 2}."""
     if k == 0:
-        return 1, 0
+        return c.field(1), c.field(0)
     if k == 2:
-        return 2 * c**2 - 1, 2 * c * s
-    return c, k * s
+        return 2 * c * c - 1, 2 * s * c
+    return c, c.field(k * s)
 
 
-def _candidate_simple(x2, sa, x3, sb) -> bool:
+def _candidate_simple(x2: _Num, sa: int, x3: _Num, sb: int) -> bool:
     """Exact test of the ten settled relations at one candidate point.
 
-    Each relation x = s*y^k holds when the cosines and the sines of x
-    and s*y^k agree.
+    The point has cos t1 = x2 and cos t2 = x3, two elements of one
+    field, and sines sa*sqrt(1 - x2^2) and sb*sqrt(1 - x3^2). Each
+    relation x = s*y^k holds when the cosines and the sines of x and
+    s*y^k agree.
     """
-    cos_sin = ((x2, _sine(sa, x2)), (x3, _sine(sb, x3)))
-    checks = []
+    cos_sin = ((x2, sa), (x3, sb))
     for rel in SETTLED_RELATIONS:
         cx, sx = cos_sin[rel.letter]
-        cy, sy = _power_cos_sin(*cos_sin[1 - rel.letter], rel.power)
-        if rel.rhs_sign < 0:
-            checks.append((cx + cy, sx + sy))
-        else:
-            checks.append((cx - cy, sx - sy))
-    return any(_eq(re, 0) and _eq(im, 0) for re, im in checks)
+        cy, sy = cos_sin[1 - rel.letter]
+        cos_k, sin_k = _power_cos_sin(cy, sy, rel.power)
+        s = rel.rhs_sign
+        if (cx - s * cos_k).is_zero() and _sqrt_sum_vanishes(
+                cx.field(sx), 1 - cx * cx, -s * sin_k, 1 - cy * cy):
+            return True
+    return False
 
 
 def _solve_real_line(pA: LaurentPoly, pB: LaurentPoly):
@@ -315,28 +452,33 @@ def _line_candidates(coords, imA, imB):
     points = []
     if poly.degree() == 0:
         return points
-    for root in poly.real_roots():
-        values = [sympy.simplify(c.subs(_T, root)) for c in coords]
-        if any(not _in_unit_interval(v) for v in values):
+    lines = [[_fraction(c) for c in reversed(sympy.Poly(e, _T).all_coeffs())]
+             for e in coords]
+    # Distinct points come from distinct roots: the parameter is one of
+    # the coordinates, and if x2 and x3 stay fixed along the line, x4 -
+    # x2*x3 = s1*s2 tells the sine signs of the two roots apart.
+    for root, field in _real_root_fields(poly):
+        x2, x3, x4 = (field(*line) for line in lines)
+        if not all(_in_unit_interval(x) for x in (x2, x3, x4)):
             continue
-        x2v, x3v, x4v = values
-        prod = x4v - x2v * x3v
-        sa_options = (0,) if _eq(x2v**2, 1) else (1, -1)
-        sb_options = (0,) if _eq(x3v**2, 1) else (1, -1)
+        prod = x4 - x2 * x3
+        rad2, rad3 = 1 - x2 * x2, 1 - x3 * x3
+        sa_options = (0,) if rad2.is_zero() else (1, -1)
+        sb_options = (0,) if rad3.is_zero() else (1, -1)
         for sa in sa_options:
             for sb in sb_options:
-                s1 = _sine(sa, x2v)
-                s2 = _sine(sb, x3v)
-                if not _eq(prod, s1 * s2):
+                # prod = s1*s2 = sa*sb*sqrt(rad2*rad3)
+                if not _sqrt_sum_vanishes(prod, field(1), field(-sa * sb),
+                                          rad2 * rad3):
                     continue
-                if not _imag_vanishes(imA, x2v, x3v, s1, s2):
+                if not _imag_vanishes(imA, x2, x3, sa, sb):
                     continue
-                if not _imag_vanishes(imB, x2v, x3v, s1, s2):
+                if not _imag_vanishes(imB, x2, x3, sa, sb):
                     continue
                 points.append(CommonPoint(
-                    cos_a=x2v, sign_a=sa,
-                    cos_b=x3v, sign_b=sb,
-                    simple=_candidate_simple(x2v, sa, x3v, sb),
+                    cos_a=x2e.subs(_T, root), sign_a=sa,
+                    cos_b=x3e.subs(_T, root), sign_b=sb,
+                    simple=_candidate_simple(x2, sa, x3, sb),
                 ))
     return points
 
@@ -348,27 +490,25 @@ def _common_two_variable(pA: LaurentPoly, pB: LaurentPoly) -> "PairVerdict":
     points = _line_candidates(coords, _imag_linear(pA), _imag_linear(pB))
     if points is None:
         return _ruled_line_route(coords, pA, pB)
-    deduped = _dedup(points)
-    for pt in deduped:
+    for pt in points:
         t1, t2 = pt.thetas
         za = complex(math.cos(t1), math.sin(t1))
         zb = complex(math.cos(t2), math.sin(t2))
         for p in (pA, pB):
             if abs(p.evaluate(za, zb)) > 1e-9:
                 raise AssertionError("common point fails re-verification")
-    return _verdict_from_points(deduped, method="real-line-quadric")
+    return _verdict_from_points(points, method="real-line-quadric")
 
 
 def _dedup(points) -> tuple:
-    deduped = []
-    for pt in points:
-        if not any(
-            pt.sign_a == q.sign_a and pt.sign_b == q.sign_b
-            and _eq(pt.cos_a, q.cos_a) and _eq(pt.cos_b, q.cos_b)
-            for q in deduped
-        ):
-            deduped.append(pt)
-    return tuple(deduped)
+    """The substitution routes' points, each once, in first-seen order.
+
+    Their cosines are sympy cosines of rational turns, or algebraic
+    cosines from ``solve_unit_circle`` and their negatives: one written
+    form per value, so two points are equal exactly when their
+    expressions are.
+    """
+    return tuple(dict.fromkeys(points))
 
 
 def _verdict_from_points(points, method: str) -> "PairVerdict":
@@ -495,7 +635,7 @@ def _ruled_line_route(coords, pA, pB) -> "PairVerdict":
         if getattr(expr, "free_symbols", set()):
             continue
         for value in (1, -1):
-            if _eq(expr, value):
+            if expr == value:
                 pts = _substitution_points(group, value, pA, pB)
                 if pts is None:
                     return _family_verdict(group, value)
@@ -505,17 +645,27 @@ def _ruled_line_route(coords, pA, pB) -> "PairVerdict":
     )
 
 
+def _cos_field(ap) -> _Field:
+    """The field of an ``AlgebraicPoint``'s cosine, a root of ``cos_minpoly``."""
+    poly = sympy.Poly(list(reversed(ap.cos_minpoly)), _T)
+    return next(field for root, field in _real_root_fields(poly)
+                if root == ap.cos_value)
+
+
 def _algebraic_line_points(group: str, value: int, ap):
     cosv = ap.cos_value
     fixed = sympy.Integer(value)
+    if group != "a/b":
+        field = _cos_field(ap)
+        theta, pinned = field(0, 1), field(value)
     out = []
     for sign in (1, -1):
         if group == "a":
             pt = CommonPoint(fixed, 0, cosv, sign,
-                             _candidate_simple(fixed, 0, cosv, sign))
+                             _candidate_simple(pinned, 0, theta, sign))
         elif group == "b":
             pt = CommonPoint(cosv, sign, fixed, 0,
-                             _candidate_simple(cosv, sign, fixed, 0))
+                             _candidate_simple(theta, sign, pinned, 0))
         else:
             # a = +-b with the same algebraic b: the identification is
             # itself one of the settled relations, hence simple
@@ -528,6 +678,9 @@ def _algebraic_line_points(group: str, value: int, ap):
 def _point_from_turns(ta: Fraction, tb: Fraction) -> CommonPoint:
     a = root_of_unity(ta.numerator, ta.denominator)
     b = root_of_unity(tb.numerator, tb.denominator)
+    # simplify fixes the written form, which is part of the result, and
+    # is not the identity on every turn: cos(4*pi/7) is -cos(3*pi/7)
+    # before it and -sin(pi/14) after.
     cos_a = sympy.simplify(
         sympy.cos(2 * sympy.pi * Rational(ta.numerator, ta.denominator)))
     cos_b = sympy.simplify(
@@ -562,7 +715,9 @@ def common_solutions(arrayA: CountArray, arrayB: CountArray) -> PairVerdict:
     Raises ValueError when the two equations are the same constraint
     (equal or conjugate up to sign); comparing an equation against
     itself says nothing, and that situation is the job of the residue
-    group-map analysis instead.
+    group-map analysis instead. Every zero and sign test behind the
+    verdict is decided exactly: no comparison is left undecided, and
+    the call no longer raises ``ArithmeticError``.
     """
     if arrayA.structure.name != arrayB.structure.name:
         raise ValueError("arrays belong to different structures")
@@ -618,13 +773,15 @@ class RealPartElimination:
 
 
 def _exact_real_roots(coefficients):
-    """All real roots of an integer polynomial, in radicals when cheap."""
+    """The distinct real roots of an integer polynomial of degree at
+    most 3, in radicals and in increasing order, and the field of each."""
     poly = sympy.Poly(list(reversed(coefficients)), _T)
-    found = sympy.roots(poly)
-    if sum(found.values()) == poly.degree():
-        out = [r for r in found if r.is_real]
-        return sorted(out, key=lambda r: float(r.evalf(30)))
-    return list(poly.real_roots())
+    fields = [field for _, field in _real_root_fields(poly)]
+    out = sorted((r for r in sympy.roots(poly) if r.is_real),
+                 key=lambda r: float(r.evalf(30)))
+    if len(out) != len(fields):
+        raise AssertionError("radical roots do not match the real roots")
+    return out, fields
 
 
 def real_part_system(placement) -> RealPartElimination:
@@ -651,35 +808,34 @@ def real_part_system(placement) -> RealPartElimination:
     ]
     while coefficients and coefficients[-1] == 0:
         coefficients.pop()
-    all_roots = tuple(_exact_real_roots(coefficients))
+    all_roots, fields = _exact_real_roots(coefficients)
     annotated = []
-    for value in all_roots:
-        if not _in_unit_interval(value):
+    for value, field in zip(all_roots, fields):
+        x = field(0, 1)
+        if not _in_unit_interval(x):
             continue
-        partner = sympy.expand(-2 * value)
-        third = sympy.expand(-(sympy.Integer(A) + B * value) / ai)
-        radicand = sympy.expand((1 - partner**2) * (1 - value**2))
-        diff = sympy.expand(third - partner * value)
-        signs = []
-        if _sign_of(radicand) >= 0:
-            radical = sympy.sqrt(radicand)
-            for s in (1, -1):
-                if _eq(diff, s * radical):
-                    signs.append(s)
+        partner = -2 * x
+        third = -(A + B * x) * Fraction(1, ai)
+        radicand = (1 - partner * partner) * (1 - x * x)
+        diff = third - partner * x
+        signs = ()
+        if radicand.sign() >= 0:
+            signs = tuple(s for s in (1, -1) if _sqrt_sum_vanishes(
+                diff, field(1), field(-s), radicand))
         annotated.append(PairedRealRoot(
             value=value,
-            partner=partner,
-            third=third,
-            simple=any(_eq(value, c) for c in _SIMPLE_COSINES),
+            partner=sympy.expand(-2 * value),
+            third=sympy.expand(-(sympy.Integer(A) + B * value) / ai),
+            simple=any((x - c).is_zero() for c in _SIMPLE_COSINES),
             in_range=True,
             partner_in_range=_in_unit_interval(partner),
             third_in_range=_in_unit_interval(third),
-            branch_signs=tuple(signs),
+            branch_signs=signs,
         ))
     return RealPartElimination(
         placement=placement,
         coefficients=tuple(coefficients),
-        all_roots=all_roots,
+        all_roots=tuple(all_roots),
         roots=tuple(annotated),
     )
 

@@ -31,7 +31,7 @@ from chmkit.arrays import (
     structure,
 )
 from chmkit.exactnum import OMEGA, CycSum, UnitValue, is_simple_unit, root_of_unity
-from chmkit.pairs import _candidate_simple
+from chmkit.pairs import _Field, _candidate_simple
 from chmkit.solve import (
     SETTLED_RELATIONS,
     LaurentPoly,
@@ -332,10 +332,17 @@ def _cyc_relation_holds(rel: Relation, turns: tuple) -> bool:
     return (lhs + rhs if rel.rhs_sign < 0 else lhs - rhs).is_zero()
 
 
-def _cos_and_sine_sign(t: Fraction):
+_R = sympy.Symbol("r")
+
+
+def _cos_and_sine_sign(t: Fraction, field):
+    """cos(2*pi*t) for a twelfth turn t, as an element of ``field`` =
+    Q(sqrt 3), and the sign of the sine."""
     cos = sympy.cos(2 * sympy.pi * sympy.Rational(t.numerator, t.denominator))
+    line = sympy.Poly(cos.subs(sympy.sqrt(3), _R), _R).all_coeffs()
+    element = field(*(Fraction(int(c.p), int(c.q)) for c in reversed(line)))
     sign = 0 if t in (0, Fraction(1, 2)) else (1 if t < Fraction(1, 2) else -1)
-    return cos, sign
+    return element, sign
 
 
 def test_settled_relations_agree_across_encodings():
@@ -359,25 +366,24 @@ def test_settled_relations_agree_across_encodings():
 
 
 def test_settled_relations_cosine_form_agrees():
-    """pairs' exact cosine-and-sine checks against the exact turn test."""
-    # The sympy form costs about 35 ms a point, 5 s on the whole 1/12
-    # grid. The settled set is closed under swapping the letters and
-    # under conjugating both (asserted), so one point per orbit of those
-    # two maps covers the grid: 43 of 144.
+    """pairs' exact cosine-and-sine checks against the exact turn test,
+    on every point of the 1/12 grid."""
+    field = _Field.of_root(sympy.CRootOf(_R**2 - 3, 1, radicals=False))
     twelfths = [Fraction(k, 12) for k in range(12)]
     for ta, tb in itertools.product(twelfths, twelfths):
         exact = is_simple((_unit(ta), _unit(tb)), GENERIC)
+        # the settled set is closed under swapping the letters and
+        # under conjugating both
         assert exact == is_simple((_unit(tb), _unit(ta)), GENERIC)
         assert exact == is_simple((_unit(-ta), _unit(-tb)), GENERIC)
+        got = _candidate_simple(*_cos_and_sine_sign(ta, field),
+                                *_cos_and_sine_sign(tb, field))
+        assert got == exact, (ta, tb)
     orbits = {
         min((ta, tb), (tb, ta), (-ta % 1, -tb % 1), (-tb % 1, -ta % 1))
         for ta, tb in itertools.product(twelfths, twelfths)
     }
     assert len(orbits) == 43
-    for ta, tb in sorted(orbits):
-        expected = is_simple((_unit(ta), _unit(tb)), GENERIC)
-        got = _candidate_simple(*_cos_and_sine_sign(ta), *_cos_and_sine_sign(tb))
-        assert got == expected, (ta, tb)
 
 
 def test_settled_substitutions_restrict_the_equation():

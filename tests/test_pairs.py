@@ -1,13 +1,18 @@
 """Unit tests for joint solvability of two count-array equations."""
 
+import collections
 import itertools
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
+from chmkit import pairs
 from chmkit.arrays import CountArray, STRUCTURES, enumerate_count_arrays, original_equation
+from chmkit.solve import SETTLED_RELATIONS, LaurentPoly, solve_unit_circle
 from chmkit.pairs import (
     AlphabetRelationReport,
     CommonPoint,
@@ -26,6 +31,20 @@ _N1 = [
     (0, 0, 0, 1, 1, 2, 2),
     (0, 2, 2, 0, 0, 1, 1),
     (0, 0, 0, 2, 2, 1, 1),
+]
+
+
+# The cross-family pairs of the tests below.
+_CROSS_PAIRS = [
+    ((1, 1, 1, 2, 0, 1, 0), (0, 1, 1, 2, 2, 0, 0)),
+    ((2, 2, 0, 1, 0, 1, 0), (0, 2, 2, 1, 1, 0, 0)),
+    ((2, 2, 0, 1, 0, 1, 0), (0, 1, 1, 1, 1, 1, 1)),
+    ((2, 2, 0, 1, 0, 1, 0), (1, 1, 1, 2, 0, 1, 0)),
+    ((1, 1, 0, 2, 0, 2, 0), (0, 1, 1, 1, 1, 1, 1)),
+    ((1, 1, 0, 2, 0, 2, 0), (2, 2, 0, 1, 0, 1, 0)),
+    ((1, 1, 1, 2, 0, 1, 0), (1, 1, 1, 0, 2, 1, 0)),
+    ((2, 2, 0, 1, 0, 1, 0), (2, 2, 0, 0, 1, 1, 0)),
+    ((2, 1, 0, 2, 0, 0, 1), (1, 1, 0, 2, 0, 2, 0)),
 ]
 
 
@@ -321,3 +340,235 @@ def test_h2_solutions_satisfy_both_relations():
             b = complex(math.cos(2 * math.pi * tb), math.sin(2 * math.pi * tb))
             assert abs(rel_residual[i](a, b)) < 1e-12
             assert abs(rel_residual[j](a, b)) < 1e-12
+
+
+# --- exact arithmetic in Q(theta) ----------------------------------------------
+
+
+def _equations(ca, cb):
+    return (original_equation(CountArray(GENERIC, ca)),
+            original_equation(CountArray(GENERIC, cb)))
+
+
+def _quadric(pA, pB):
+    """The quadric polynomial in the parameter of the real-part line."""
+    x2, x3, x4 = pairs._solve_real_line(pA, pB)
+    return sympy.Poly(
+        sympy.expand((x4 - x2 * x3) ** 2 - (1 - x2**2) * (1 - x3**2)), pairs._T)
+
+
+def _n1_root_fields():
+    """(exact root, field) for every distinct real quadric root of the
+    15 N.1 pairs."""
+    out = []
+    for ca, cb in itertools.combinations(_N1, 2):
+        poly = _quadric(*_equations(ca, cb))
+        exact = list(dict.fromkeys(poly.real_roots(radicals=False)))
+        fields = [field for _, field in pairs._real_root_fields(poly)]
+        assert len(exact) == len(fields)
+        out.extend(zip(exact, fields))
+    return out
+
+
+def _random_element(rng, field, bound=6):
+    degree = len(field.minpoly) - 1
+    return field(*(rng.randint(-bound, bound) for _ in range(degree)))
+
+
+def test_field_zero_test_on_multiples_of_minpoly():
+    rng = random.Random(81)
+    root_fields = _n1_root_fields()
+    assert len(root_fields) > 15
+    for _, field in root_fields:
+        m = field.minpoly
+        for _ in range(5):
+            q = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+            multiple = [0] * (len(m) + len(q) - 1)
+            for i, x in enumerate(m):
+                for j, y in enumerate(q):
+                    multiple[i + j] += x * y
+            element = field(*multiple)
+            assert element.is_zero() and element.sign() == 0
+            r = _random_element(rng, field)
+            shifted = field(*(x + y for x, y in itertools.zip_longest(
+                multiple, r.coeffs, fillvalue=0)))
+            assert shifted.coeffs == r.coeffs
+            assert (shifted - r).is_zero()
+
+
+def test_field_sign_matches_mpmath():
+    rng = random.Random(82)
+    checked = 0
+    with mpmath.workdps(60):
+        for exact, field in _n1_root_fields():
+            theta = mpmath.mpf(str(sympy.N(exact, 70)))
+            for _ in range(12):
+                element = _random_element(rng, field)
+                if element.is_zero():
+                    continue
+                value = mpmath.polyval(list(reversed(element.coeffs)), theta)
+                assert abs(value) > mpmath.mpf(10) ** -40
+                assert element.sign() == (1 if value > 0 else -1)
+                checked += 1
+    assert checked > 400
+
+
+def _sympy_element(element, theta):
+    return sum(sympy.Rational(c.numerator, c.denominator) * theta**i
+               for i, c in enumerate(map(Fraction, element.coeffs)))
+
+
+def test_sqrt_sum_test_agrees_with_sympy():
+    """alpha*sqrt(P) + beta*sqrt(Q) = 0 in two quadratic fields, against
+    sympy on seeded cases: unrelated terms, terms built to cancel, and
+    the same terms with one sign flipped, where alpha^2 P = beta^2 Q
+    holds but the sum does not vanish."""
+    r = sympy.Symbol("r")
+    fields = [
+        (pairs._Field.of_root(sympy.CRootOf(r**2 - 3, 1, radicals=False)),
+         sympy.sqrt(3)),
+        (pairs._Field.of_root(sympy.CRootOf(8 * r**2 - r - 1, 0, radicals=False)),
+         (1 - sympy.sqrt(33)) / 16),
+    ]
+    rng = random.Random(83)
+    outcomes = collections.Counter()
+    for field, theta in fields:
+        for case in range(9):
+            R = _random_element(rng, field, 3)
+            R = R * R
+            gamma, delta, kappa = (_random_element(rng, field, 3) for _ in range(3))
+            if case % 3:
+                # alpha*|gamma| = -beta*|delta| over sqrt(R), or its negation
+                P, Q = gamma * gamma * R, delta * delta * R
+                alpha = delta.sign() * delta * kappa
+                beta = (-1) ** case * gamma.sign() * gamma * kappa
+            else:
+                P, Q = R, gamma * gamma
+                alpha, beta = delta, kappa
+            got = pairs._sqrt_sum_vanishes(alpha, P, beta, Q)
+            expr = (_sympy_element(alpha, theta) * sympy.sqrt(_sympy_element(P, theta))
+                    + _sympy_element(beta, theta) * sympy.sqrt(_sympy_element(Q, theta)))
+            assert got == _ref_eq(expr, 0), (alpha.coeffs, P.coeffs, beta.coeffs, Q.coeffs)
+            outcomes[got] += 1
+    assert outcomes[True] >= 5 and outcomes[False] >= 10
+
+
+def test_double_quadric_roots_give_each_point_once():
+    for ca, cb, count in (
+        ((2, 2, 0, 1, 0, 1, 0), (1, 1, 1, 2, 0, 1, 0), 1),
+        ((1, 1, 0, 2, 0, 2, 0), (0, 1, 1, 1, 1, 1, 1), 2),
+    ):
+        roots = _quadric(*_equations(ca, cb)).real_roots()
+        assert len(roots) == 2 and roots[0] == roots[1]
+        v = _pair(ca, cb)
+        assert v.method == "real-line-quadric"
+        assert len(v.points) == count
+
+
+def test_algebraic_line_points_simplicity():
+    """The substitution routes' points at an algebraic cosine, linear
+    (-1/4) and quadratic ((-1 + sqrt 13)/4), against the reference."""
+    checked = 0
+    for coeffs in ({(1,): 2, (0,): 1, (-1,): 2},
+                   {(2,): 1, (1,): 1, (0,): -1, (-1,): 1, (-2,): 1}):
+        sol = solve_unit_circle(LaurentPoly(("x",), coeffs))
+        assert sol.algebraic_points
+        for ap in sol.algebraic_points:
+            for group, value in itertools.product(("a", "b", "a/b"), (1, -1)):
+                for p in pairs._algebraic_line_points(group, value, ap):
+                    assert p.simple == _ref_candidate_simple(
+                        p.cos_a, p.sign_a, p.cos_b, p.sign_b), (group, value, p)
+                    checked += p.simple
+    # a/b always, and a = -1 or b = -1
+    assert checked == 2 * 2 * 4
+
+
+# The route before exact field arithmetic, kept as a reference: every
+# zero test through sympy expand/equals/simplify, with a 40-digit guard.
+
+
+def _ref_eq(lhs, rhs=0) -> bool:
+    diff = sympy.expand(lhs - rhs)
+    if diff == 0:
+        return True
+    verdict = diff.equals(0)
+    if verdict is None:
+        simplified = sympy.simplify(diff)
+        verdict = simplified == 0 or simplified.equals(0) is True
+    if not verdict and abs(diff.evalf(40)) < sympy.Float(10) ** -30:
+        raise ArithmeticError(f"undecided equality near zero: {diff}")
+    return bool(verdict)
+
+
+def _ref_sine(sign, cos_value):
+    return sympy.Integer(0) if sign == 0 else sign * sympy.sqrt(1 - cos_value**2)
+
+
+def _ref_candidate_simple(x2, sa, x3, sb) -> bool:
+    cos_sin = ((x2, _ref_sine(sa, x2)), (x3, _ref_sine(sb, x3)))
+    for rel in SETTLED_RELATIONS:
+        cx, sx = cos_sin[rel.letter]
+        c, s = cos_sin[1 - rel.letter]
+        cy, sy = {0: (1, 0), 2: (2 * c**2 - 1, 2 * c * s)}.get(
+            rel.power, (c, rel.power * s))
+        sign = rel.rhs_sign
+        if _ref_eq(cx - sign * cy) and _ref_eq(sx - sign * sy):
+            return True
+    return False
+
+
+def _ref_line_points(pA, pB):
+    """The real-line-quadric points, deduplicated with ``_ref_eq``."""
+    coords = pairs._solve_real_line(pA, pB)
+    imA, imB = pairs._imag_linear(pA), pairs._imag_linear(pB)
+    points = []
+    for root in _quadric(pA, pB).real_roots():
+        values = [sympy.simplify(c.subs(pairs._T, root)) for c in coords]
+        if not all(bool(v >= -1) and bool(v <= 1) for v in values):
+            continue
+        x2, x3, x4 = values
+        for sa in (0,) if _ref_eq(x2**2, 1) else (1, -1):
+            for sb in (0,) if _ref_eq(x3**2, 1) else (1, -1):
+                s1, s2 = _ref_sine(sa, x2), _ref_sine(sb, x3)
+                if not _ref_eq(x4 - x2 * x3, s1 * s2):
+                    continue
+                if not all(
+                    _ref_eq(s1 * (u + w * x3) + s2 * (v - w * x2))
+                    for u, v, w in (imA, imB)
+                ):
+                    continue
+                points.append(CommonPoint(x2, sa, x3, sb,
+                                          _ref_candidate_simple(x2, sa, x3, sb)))
+    return _ref_dedup(points)
+
+
+def _ref_dedup(points):
+    out = []
+    for pt in points:
+        if not any(pt.sign_a == q.sign_a and pt.sign_b == q.sign_b
+                   and _ref_eq(pt.cos_a, q.cos_a) and _ref_eq(pt.cos_b, q.cos_b)
+                   for q in out):
+            out.append(pt)
+    return out
+
+
+def _srepr_points(points):
+    return [(sympy.srepr(p.cos_a), p.sign_a, sympy.srepr(p.cos_b), p.sign_b, p.simple)
+            for p in points]
+
+
+# The N.1 pairs (1-based, as in n1_verdicts) whose reference run takes
+# under 1 s: 0.01-0.5 s each, against 0.8-10 s for the other ten.
+_N1_FAST_REFERENCE = ((1, 3), (2, 4), (2, 5), (4, 6), (5, 6))
+
+
+@pytest.mark.parametrize("ca, cb", _CROSS_PAIRS + [
+    (_N1[i - 1], _N1[j - 1]) for i, j in _N1_FAST_REFERENCE])
+def test_field_route_matches_eq_reference(ca, cb):
+    v = _pair(ca, cb)
+    if v.method == "real-line-quadric":
+        assert _srepr_points(v.points) == _srepr_points(_ref_line_points(*_equations(ca, cb)))
+    else:
+        assert _srepr_points(_ref_dedup(v.points)) == _srepr_points(v.points)
+        for p in v.points:
+            assert _ref_candidate_simple(p.cos_a, p.sign_a, p.cos_b, p.sign_b) == p.simple

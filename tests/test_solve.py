@@ -20,9 +20,7 @@ from chmkit.exactnum import (
 )
 from chmkit.solve import (
     LaurentPoly,
-    SolutionSet,
     TorusPoint,
-    TorusSolution,
     has_nonsimple_point,
     pinned_residual,
     solve_torus,
