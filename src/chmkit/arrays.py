@@ -11,7 +11,9 @@ unit-circle solutions can leave the simple set.
 
 Labels come from the case recipe that generated the catalogued
 non-simple lists; the attached solution sets are always computed
-honestly (complete exact solve in one variable, witness search in two).
+honestly (complete exact solve in one variable; in two, the exact
+substitution sweep plus, for catalogued arrays, the points of
+``solve.solve_torus``).
 On a few arrays the recipe's screening is coarser than the exact solve;
 those carry ``solutions_agree=False`` instead of being silently patched.
 
@@ -30,8 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .exactnum import (
     SIMPLE_VALUES,
     CycSum,
@@ -45,6 +45,7 @@ from .solve import (
     Relation,
     SolutionSet,
     has_nonsimple_point,
+    solve_torus,
     solve_unit_circle,
     ten_relation_residual,
 )
@@ -415,109 +416,33 @@ def is_simple(point, struct: AlphabetStructure, tol: float = 1e-9) -> bool:
 
 # --- two-variable witness search --------------------------------------
 
+# Eight off-turn curve samples meet every catalogued curve off the ten
+# relations. A witness solves p to _WITNESS_TOL and keeps more than
+# _WITNESS_MARGIN from every settled relation.
+_WITNESS_SAMPLES = 8
+_WITNESS_TOL = 1e-9
+_WITNESS_MARGIN = 1e-6
 
-def _descend(p: LaurentPoly, t1: np.ndarray, t2: np.ndarray, iters: int = 80):
-    """Damped Gauss-Newton descent on |p|^2 from every seed in lockstep.
 
-    Each seed follows its own descent: it succeeds once |p| < 1e-13 at
-    the top of an iteration, and fails on a singular normal matrix, on
-    25 step halvings that never lower |p|^2, or after ``iters``
-    iterations. Finished seeds drop out of the active set. Returns the
-    angles, reduced mod 2*pi, and a mask of the seeds that succeeded;
-    the angles of failed seeds are nan.
+def nonsimple_witness_search(p: LaurentPoly):
+    """A non-simple solution (theta1, theta2) of a 2-variable equation.
+
+    Walks the points of ``solve_torus(p, samples=8)`` in their sorted
+    order and returns the first that a scalar re-check accepts: |p| at
+    most 1e-9 and a distance of more than 1e-6 from all ten simple
+    relations. Points with a = 1 or b = 1 are kept when they fail all
+    ten relations: they solve the equation even though the alphabet
+    they describe degenerates. Returns None when nothing qualifies. The
+    isolated points are complete but a curve is only sampled, so None
+    is a statement about the samples, not a proof of absence.
     """
-    monomials = list(p.coeffs.items())
-    exps = np.array(list(p.coeffs), dtype=float).reshape(-1, 2)
-    e1, e2 = exps[:, :1], exps[:, 1:]
-
-    def terms(u1, u2):
-        """One row per monomial, one column per seed."""
-        a, b = np.exp(1j * u1), np.exp(1j * u2)
-        rows = [c * a**x * b**y for (x, y), c in monomials]
-        return np.array(rows, dtype=complex).reshape(len(rows), u1.size)
-
-    tau = 2 * math.pi
-    out = np.full((len(t1), 2), np.nan)
-    live = np.arange(len(t1))
-    t1 = np.array(t1, dtype=float)
-    t2 = np.array(t2, dtype=float)
-    for _ in range(iters):
-        if not live.size:
-            break
-        tm = terms(t1, t2)
-        val = tm.sum(axis=0)
-        d1 = (1j * e1 * tm).sum(axis=0)
-        d2 = (1j * e2 * tm).sum(axis=0)
-        done = np.abs(val) < 1e-13
-        out[live[done], 0] = t1[done] % tau
-        out[live[done], 1] = t2[done] % tau
-        f1, f2 = val.real, val.imag
-        m11 = d1.real**2 + d1.imag**2
-        m12 = d1.real * d2.real + d1.imag * d2.imag
-        m22 = d2.real**2 + d2.imag**2
-        lam = 1e-10 * (m11 + m22 + 1.0)
-        det = (m11 + lam) * (m22 + lam) - m12 * m12
-        keep = ~done & (det > 0)
-        g1 = d1.real * f1 + d1.imag * f2
-        g2 = d2.real * f1 + d2.imag * f2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dt1 = -(g1 * (m22 + lam) - g2 * m12) / det
-            dt2 = -(g2 * (m11 + lam) - g1 * m12) / det
-        live, t1, t2, dt1, dt2 = live[keep], t1[keep], t2[keep], dt1[keep], dt2[keep]
-        base = (f1 * f1 + f2 * f2)[keep]
-        step = np.ones(live.size)
-        pending = np.arange(live.size)
-        for _ in range(25):
-            nv = terms(
-                t1[pending] + step[pending] * dt1[pending],
-                t2[pending] + step[pending] * dt2[pending],
-            ).sum(axis=0)
-            pending = pending[~(np.abs(nv) ** 2 < base[pending])]
-            if not pending.size:
-                break
-            step[pending] *= 0.5
-        # seeds still pending found no descent step: they failed
-        moved = np.ones(live.size, dtype=bool)
-        moved[pending] = False
-        live = live[moved]
-        t1 = t1[moved] + step[moved] * dt1[moved]
-        t2 = t2[moved] + step[moved] * dt2[moved]
-    return out, ~np.isnan(out[:, 0])
-
-
-def nonsimple_witness_search(
-    p: LaurentPoly, grid: int = 720, tol: float = 1e-9, margin: float = 1e-6
-):
-    """Search the torus for a non-simple solution of a 2-variable equation.
-
-    Evaluates |p| on a grid x grid mesh and takes the 1200 cells where
-    it is smallest as seeds. One lockstep damped Gauss-Newton kernel
-    (``_descend``) refines all of them at once, but it only proposes
-    points: walking the converged seeds in the order of their cells'
-    |p|, the search returns the first (theta1, theta2) that a scalar
-    re-check accepts, |p| at most ``tol`` and a distance of more than
-    ``margin`` from all ten simple relations. Points with a = 1 or
-    b = 1 are kept when they fail all ten relations: they solve the
-    equation even though the alphabet they describe degenerates.
-    Returns None when nothing qualifies; the search samples the torus,
-    so None is a statement about the search, not a proof of absence.
-    """
-    if len(p.variables) != 2:
-        raise ValueError("witness search expects two variables")
-    thetas = np.arange(grid) * (2 * np.pi / grid)
-    unit = np.exp(1j * thetas)
-    vals = np.zeros((grid, grid), dtype=complex)
-    for (e1, e2), c in p.coeffs.items():
-        vals += c * np.outer(unit**e1, unit**e2)
-    i, j = np.divmod(np.argsort(np.abs(vals), axis=None)[:1200], grid)
-    points, hit = _descend(p, thetas[i], thetas[j])
-    for t1, t2 in points[hit].tolist():
-        a, b = cmath.exp(1j * t1), cmath.exp(1j * t2)
-        if abs(p.evaluate(a, b)) > tol:
+    for pt in solve_torus(p, samples=_WITNESS_SAMPLES).points:
+        a, b = cmath.exp(1j * pt.theta1), cmath.exp(1j * pt.theta2)
+        if abs(p.evaluate(a, b)) > _WITNESS_TOL:
             continue
-        if ten_relation_residual(a, b) <= margin:
+        if ten_relation_residual(a, b) <= _WITNESS_MARGIN:
             continue
-        return t1, t2
+        return pt.theta1, pt.theta2
     return None
 
 
@@ -686,8 +611,9 @@ class ArrayClassification:
     solutions: False marks arrays where the case recipe says one thing
     and the solutions say another, None means the comparison was not
     decided (two-variable SimpleOnly labels, where absence of further
-    components is not asserted). ``nonsimple_witness`` is the
-    torus-search hit backing a two-variable NonSimple label.
+    components is not asserted). ``nonsimple_witness`` is a
+    ``solve_torus`` point off the ten relations backing a two-variable
+    NonSimple label.
     """
 
     array: CountArray
@@ -718,7 +644,7 @@ def classify_array(array: CountArray) -> ArrayClassification:
     ``solutions_agree`` flag is dropped to False. GENERIC labels come
     from the catalogued shape rules; every GENERIC array gets the exact
     relation-substitution sweep, and the catalogued ones additionally
-    get the torus witness search backing (or failing to back) the
+    get a ``solve_torus`` witness backing (or failing to back) the
     NonSimple claim.
     """
     struct = array.structure

@@ -161,7 +161,9 @@ class SolutionSet:
     ``exact_points`` are roots of unity; ``algebraic_points`` carry the
     remaining solutions as cos(theta) algebraic numbers (each standing
     for a conjugate pair). ``complete`` is always true for one variable;
-    two-variable witness searches set it false.
+    the two-variable sets of ``arrays`` set it false: they hold the
+    substitution points and at most one ``solve_torus`` witness, not
+    every solution.
     """
 
     exact_points: tuple
@@ -477,7 +479,9 @@ class TorusSolution:
     real curve; ``points`` then holds sampled curve points plus any
     isolated solutions away from the curve, and ``curve_coeffs`` the
     shared factor as (exp1, exp2, coeff) triples. Curve samples are a
-    witness, not an enumeration.
+    witness, not an enumeration. They are taken off the rational turns:
+    a sample at a root of unity lands on the curve's torsion points,
+    which are the points the ten settled relations describe.
     """
 
     kind: str
@@ -533,8 +537,9 @@ def solve_torus(p: LaurentPoly, samples: int = 720, tol: float = 1e-9) -> TorusS
     On the torus the complex conjugate of p is p with inverted
     exponents, so zeros of p are the common zeros of the cleared
     polynomial P and its reciprocal conjugate Q. A nontrivial gcd of P
-    and Q cuts the torus in a real curve (kind "curve", sampled);
-    whatever remains is confined by the resultant eliminating the first
+    and Q cuts the torus in a real curve (kind "curve", sampled at
+    ``samples`` angles 2*pi*k/samples + 1 rad of one letter); whatever
+    remains is confined by the resultant eliminating the first
     variable to finitely many candidates, each verified and classified
     (kind "isolated", complete, or "empty").
     """
@@ -582,7 +587,7 @@ def solve_torus(p: LaurentPoly, samples: int = 720, tol: float = 1e-9) -> TorusS
             dega = Poly(G.as_expr(), _TA).degree() if _TA in G.free_symbols else 0
             main, other = (_TA, _TB) if dega > 0 else (_TB, _TA)
             for k in range(samples):
-                w = mp.e ** (2j * mp.pi * k / samples)
+                w = mp.expj(2 * mp.pi * k / samples + 1)
                 coeffs = _poly_coeffs_at(G, main, other, w, mp)
                 if len(coeffs) <= 1:
                     continue

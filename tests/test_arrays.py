@@ -6,7 +6,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -19,7 +18,6 @@ from chmkit.arrays import (
     PendingTerms,
     Relation,
     UnsupportedPendingShape,
-    _descend,
     classify_array,
     conjugate_canonical,
     enumerate_count_arrays,
@@ -446,134 +444,18 @@ def test_witness_search_empty_handed_on_isolated_simple_points():
     assert nonsimple_witness_search(p) is None
 
 
-# --- the lockstep descent against the scalar loop it replaced -------------
-
-
-def _refine(p, t1, t2, iters=80):
-    """Reference: the one-seed damped Gauss-Newton loop on |p|^2."""
-    for _ in range(iters):
-        a, b = cmath.exp(1j * t1), cmath.exp(1j * t2)
-        val = 0j
-        d1 = 0j
-        d2 = 0j
-        for (e1, e2), c in p.coeffs.items():
-            term = c * a**e1 * b**e2
-            val += term
-            d1 += 1j * e1 * term
-            d2 += 1j * e2 * term
-        if abs(val) < 1e-13:
-            tau = 2 * math.pi
-            return t1 % tau, t2 % tau
-        f1, f2 = val.real, val.imag
-        m11 = d1.real**2 + d1.imag**2
-        m12 = d1.real * d2.real + d1.imag * d2.imag
-        m22 = d2.real**2 + d2.imag**2
-        lam = 1e-10 * (m11 + m22 + 1.0)
-        det = (m11 + lam) * (m22 + lam) - m12 * m12
-        if det <= 0:
-            return None
-        g1 = d1.real * f1 + d1.imag * f2
-        g2 = d2.real * f1 + d2.imag * f2
-        dt1 = -(g1 * (m22 + lam) - g2 * m12) / det
-        dt2 = -(g2 * (m11 + lam) - g1 * m12) / det
-        step = 1.0
-        base = f1 * f1 + f2 * f2
-        for _ in range(25):
-            na = cmath.exp(1j * (t1 + step * dt1))
-            nb = cmath.exp(1j * (t2 + step * dt2))
-            nv = sum(c * na**e1 * nb**e2 for (e1, e2), c in p.coeffs.items())
-            if abs(nv) ** 2 < base:
-                break
-            step *= 0.5
-        else:
-            return None
-        t1 += step * dt1
-        t2 += step * dt2
-    return None
-
-
-def _grid_seeds(p, grid):
-    """The search's seeds: the 1200 grid cells of smallest |p|, in order."""
-    thetas = np.arange(grid) * (2 * np.pi / grid)
-    unit = np.exp(1j * thetas)
-    vals = np.zeros((grid, grid), dtype=complex)
-    for (e1, e2), c in p.coeffs.items():
-        vals += c * np.outer(unit**e1, unit**e2)
-    i, j = np.divmod(np.argsort(np.abs(vals), axis=None)[:1200], grid)
-    return thetas[i], thetas[j]
-
-
-def _angle_gap(x, y):
-    return abs((x - y + math.pi) % (2 * math.pi) - math.pi)
-
-
-def _assert_descent_matches_reference(p, s1, s2):
-    points, hit = _descend(p, s1, s2)
-    assert points.shape == (len(s1), 2)
-    for k, (t1, t2) in enumerate(zip(s1.tolist(), s2.tolist())):
-        ref = _refine(p, t1, t2)
-        assert (ref is not None) == bool(hit[k]), (k, t1, t2)
-        if ref is not None:
-            assert _angle_gap(ref[0], points[k, 0]) < 1e-8
-            assert _angle_gap(ref[1], points[k, 1]) < 1e-8
-            assert 0 <= points[k, 0] < 2 * math.pi
-            assert 0 <= points[k, 1] < 2 * math.pi
-    assert np.isnan(points[~hit]).all()
-    return hit
-
-
-@pytest.mark.parametrize(
-    "p",
-    [
-        _OFFGRID,
-        original_equation(CountArray(GENERIC, (0, 1, 1, 2, 2, 0, 0))),  # N.1.1
-        original_equation(CountArray(GENERIC, (1, 1, 1, 2, 0, 1, 0))),  # N.4.1
-    ],
-    ids=["offgrid", "N.1.1", "N.4.1"],
-)
-def test_lockstep_descent_matches_scalar_reference_on_every_seed(p):
-    s1, s2 = _grid_seeds(p, 720)
-    assert len(s1) == 1200
-    hit = _assert_descent_matches_reference(p, s1, s2)
-    assert 0 < hit.sum()
-
-
-def test_lockstep_descent_on_a_small_grid():
-    s1, s2 = _grid_seeds(_OFFGRID, 20)
-    assert len(s1) == 400
-    hit = _assert_descent_matches_reference(_OFFGRID, s1, s2)
-    # the search returns the first reference hit that passes the checks
-    expected = None
-    for t1, t2 in zip(s1.tolist(), s2.tolist()):
-        ref = _refine(_OFFGRID, t1, t2)
-        if ref is None:
-            continue
-        a, b = cmath.exp(1j * ref[0]), cmath.exp(1j * ref[1])
-        if abs(_OFFGRID.evaluate(a, b)) <= 1e-9 and not is_simple(
-            (a, b), GENERIC, tol=1e-6
-        ):
-            expected = ref
-            break
-    assert hit.any() and expected is not None
-    got = nonsimple_witness_search(_OFFGRID, grid=20)
-    assert _angle_gap(got[0], expected[0]) < 1e-8
-    assert _angle_gap(got[1], expected[1]) < 1e-8
-
-
-def test_lockstep_descent_stops_at_iteration_zero():
-    # a = -1 is a root of 1 + a; the seed stays put, reduced mod 2*pi
-    p = LaurentPoly(("a", "b"), {(0, 0): 1, (1, 0): 1})
-    s1, s2 = np.array([math.pi, 0.5]), np.array([7.0, 0.5])
-    points, hit = _descend(p, s1, s2)
-    assert hit.tolist() == [True, True]
-    assert points[0].tolist() == [math.pi, 7.0 % (2 * math.pi)]
-    assert points[0].tolist() == list(_refine(p, math.pi, 7.0))
-    # the second seed has to move to reach a = -1
-    assert _angle_gap(points[1, 0], math.pi) < 1e-8
-    _assert_descent_matches_reference(p, s1, s2)
-    # on the zero equation every seed is a root from the start
-    points, hit = _descend(LaurentPoly(("a", "b"), {}), s1, s2)
-    assert hit.all() and points[1].tolist() == [0.5, 0.5]
+def test_torus_curve_samples_sit_off_the_rational_turns():
+    # N.1.1's curve cos(t1) = -2 cos(t2) meets b = e(k/8) only at
+    # b = +-i, where every point is simple; off-turn samples find a witness
+    p = original_equation(CountArray(GENERIC, (0, 1, 1, 2, 2, 0, 0)))
+    sol = solve_torus(p, samples=8)
+    assert sol.kind == "curve"
+    units = [(cmath.exp(1j * pt.theta1), cmath.exp(1j * pt.theta2))
+             for pt in sol.points]
+    assert any(
+        abs(p.evaluate(a, b)) <= 1e-9 and ten_relation_residual(a, b) > 1e-6
+        for a, b in units
+    )
 
 
 # --- classification: one-variable structures ---------------------------------

@@ -1,11 +1,13 @@
 """Source hygiene checks over the chmkit package."""
 
 import ast
+import importlib
 import pathlib
 
 import chmkit
 
 _PACKAGE = pathlib.Path(chmkit.__file__).parent
+_SPANS = pathlib.Path(__file__).resolve().parents[1] / "chmbench" / "spans.py"
 
 
 def _unused_module_imports(tree: ast.Module) -> list:
@@ -40,3 +42,33 @@ def test_scan_finds_an_unused_import():
     tree = ast.parse(
         "import os\nimport math as m\nfrom a.b import c, d\nprint(m.pi, d)\n")
     assert _unused_module_imports(tree) == [(1, "os"), (3, "c")]
+
+
+def _spans_tables() -> dict:
+    """The literal TIMED and COUNTED tables of the benchmark's tracer."""
+    tables = {}
+    for node in ast.parse(_SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("TIMED", "COUNTED"):
+                tables[name] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_traced_names_resolve():
+    # a traced name that no longer exists breaks only traced benchmark runs
+    tables = _spans_tables()
+    assert set(tables) == {"TIMED", "COUNTED"}
+    missing = []
+    for modname, attr in tables["TIMED"].values():
+        if not callable(getattr(importlib.import_module(modname), attr, None)):
+            missing.append(f"{modname}.{attr}")
+    for modname, cls, attr in tables["COUNTED"].values():
+        owner = importlib.import_module(modname)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        # the tracer patches a class's own attribute, not an inherited one
+        found = vars(owner).get(attr) if owner is not None else None
+        if not callable(found):
+            missing.append(f"{modname}.{cls}.{attr}")
+    assert missing == []
