@@ -191,6 +191,17 @@ def conjugate_canonical(array: CountArray) -> CountArray:
     return array if array.counts <= other.counts else other
 
 
+def _compositions(total: int, parts: int):
+    """Non-negative tuples of length ``parts`` summing to ``total``, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
 def enumerate_count_arrays(
     struct: AlphabetStructure, include_excluded: bool = False
 ) -> list:
@@ -200,12 +211,9 @@ def enumerate_count_arrays(
     more are appended after the main list, each carrying the
     rank1-excluded flag through CountArray.
     """
-    k = struct.k
     main = []
     flagged = []
-    for counts in itertools.product(range(7), repeat=k):
-        if sum(counts) != 6:
-            continue
+    for counts in _compositions(6, struct.k):
         arr = CountArray(struct, counts)
         if arr.rank1_excluded:
             flagged.append(arr)

@@ -6,11 +6,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chmkit import solve
 from chmkit.arrays import (
     _GENERIC_SWEEP,
     STRUCTURES,
@@ -33,6 +35,7 @@ from chmkit.pairs import _Field, _candidate_simple
 from chmkit.solve import (
     SETTLED_RELATIONS,
     LaurentPoly,
+    pinned_residual,
     solve_torus,
     solve_unit_circle,
     ten_relation_residual,
@@ -86,6 +89,27 @@ def test_enumeration_matches_direct_count():
             if sum(c) == 6
         )
         assert len(enumerate_count_arrays(struct)) == direct
+
+
+def _reference_enumeration(struct, include_excluded):
+    """The filter over all 7^k tuples that the composition walk replaced."""
+    main, flagged = [], []
+    for counts in itertools.product(range(7), repeat=struct.k):
+        if sum(counts) != 6:
+            continue
+        arr = CountArray(struct, counts)
+        (flagged if arr.rank1_excluded else main).append(arr)
+    return main + flagged if include_excluded else main
+
+
+@pytest.mark.parametrize("include_excluded", [False, True])
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_enumeration_matches_product_filter(name, include_excluded):
+    struct = STRUCTURES[name]
+    # equal as lists: the same arrays in the same order
+    assert enumerate_count_arrays(struct, include_excluded) == (
+        _reference_enumeration(struct, include_excluded)
+    )
 
 
 def test_enumeration_with_excluded_appends_flagged():
@@ -456,6 +480,40 @@ def test_torus_curve_samples_sit_off_the_rational_turns():
         abs(p.evaluate(a, b)) <= 1e-9 and ten_relation_residual(a, b) > 1e-6
         for a, b in units
     )
+
+
+def test_torus_flags_in_doubles_match_fifty_digits(monkeypatch):
+    """``solve_torus`` flags its 50-digit points in doubles. On the
+    catalogued arrays the flags equal those of 50-digit residuals, and
+    every residual stays far from the 1e-9 cut, so a new equation whose
+    points come near it fails here first."""
+    flagged = []
+    classify = solve._classify_torus_point
+
+    def spy(a, b, tol):
+        # real roots come back from mpmath as mpf
+        assert isinstance(a, (mp.mpc, mp.mpf)) and isinstance(b, (mp.mpc, mp.mpf))
+        with mp.workdps(50):
+            wide = (ten_relation_residual(a, b) <= tol,
+                    pinned_residual(a, b) <= tol)
+        pt = classify(a, b, tol)
+        flagged.append(((pt.simple, pt.pinned), wide, complex(a), complex(b)))
+        return pt
+
+    monkeypatch.setattr(solve, "_classify_torus_point", spy)
+    curves = 0
+    for arr in enumerate_count_arrays(GENERIC):
+        if classify_array(arr).label.kind != "NonSimple":
+            continue
+        flagged.clear()
+        sol = solve_torus(original_equation(arr), samples=8)
+        curves += sol.kind == "curve"
+        assert flagged, arr
+        for narrow, wide, a, b in flagged:
+            assert narrow == wide, arr
+            for r in (ten_relation_residual(a, b), pinned_residual(a, b)):
+                assert r <= 1e-12 or r >= 1e-6, (arr, r)
+    assert curves == 19
 
 
 # --- classification: one-variable structures ---------------------------------

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chmkit import arrays, solve
 from chmkit.exactnum import (
     OMEGA,
     OMEGA2,
@@ -21,6 +22,7 @@ from chmkit.exactnum import (
 from chmkit.solve import (
     LaurentPoly,
     TorusPoint,
+    _cyclotomic_order,
     has_nonsimple_point,
     pinned_residual,
     solve_torus,
@@ -132,6 +134,115 @@ def test_solve_is_memoised_per_equation():
             solve_unit_circle(lp({}))
         with pytest.raises(ValueError, match="single variable"):
             solve_unit_circle(lp2({(1, 0): 1}))
+
+
+def test_sign_and_shift_share_one_solution_set(monkeypatch):
+    # Coefficients outside the property tests' range: not cached yet.
+    p = lp({0: 17, 1: 19, 3: 17})
+    shifted = lp({e + 5: c for (e,), c in p.coeffs.items()})
+    checked = []
+    real = solve._reverify
+
+    def spy(q, sol):
+        checked.append(q)
+        real(q, sol)
+
+    monkeypatch.setattr(solve, "_reverify", spy)
+    first = solve_unit_circle(p)
+    assert solve_unit_circle(-p) is first
+    assert solve_unit_circle(shifted) is first
+    assert solve_unit_circle(-shifted) is first
+    # one re-verification per distinct equation, none on a repeat
+    assert checked == [p, -p, shifted, -shifted]
+    for q in (p, -p, shifted):
+        assert solve_unit_circle(q) is first
+    assert checked == [p, -p, shifted, -shifted]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="identically zero"):
+            solve_unit_circle(p - p)
+        with pytest.raises(ValueError, match="single variable"):
+            solve_unit_circle(lp2({(0, 0): 17, (1, 0): 19}))
+
+
+def test_shared_set_is_reverified_against_each_equation(monkeypatch):
+    # A wrong set cached for the cleared polynomial fails the first new
+    # equation that shares it.
+    bogus = solve.SolutionSet((root_of_unity(1, 3),), (), (), complete=True)
+    monkeypatch.setattr(solve, "_solve_cleared", lambda coeffs: bogus)
+    with pytest.raises(AssertionError, match="re-check"):
+        solve_unit_circle(lp({1: 23, 3: 29}))
+
+
+_X = sympy.Symbol("x")
+
+
+def _reference_cyclotomic_order(f):
+    """The totient loop that the table lookup replaced."""
+    deg = f.degree()
+    if f.LC() != 1:
+        return None
+    bound = max(24, 2 * deg * deg + 6)
+    for n in range(1, bound + 1):
+        if sympy.totient(n) != deg:
+            continue
+        if f == sympy.Poly(sympy.cyclotomic_poly(n, _X), _X):
+            return n
+    return None
+
+
+def test_cyclotomic_lookup_matches_totient_loop_on_phi_n():
+    for n in range(1, 121):
+        f = sympy.Poly(sympy.cyclotomic_poly(n, _X), _X)
+        assert _cyclotomic_order(f) == _reference_cyclotomic_order(f) == n
+        assert _cyclotomic_order(-f) is _reference_cyclotomic_order(-f) is None
+
+
+def test_cyclotomic_lookup_rejects_monic_non_cyclotomics():
+    lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+    for coeffs in (
+        lehmer,
+        [1, -1, -1],             # golden ratio
+        [1, 0, -1, -1],          # smallest Pisot number
+        [1, 1, 2],
+        [1, -2],
+        [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1],
+        [2, 1],
+        [1, 0, 1, 0, 1],         # Phi_3 * Phi_6, not irreducible
+    ):
+        f = sympy.Poly(coeffs, _X)
+        assert _cyclotomic_order(f) is None
+        assert _reference_cyclotomic_order(f) is None
+
+
+def test_cyclotomic_lookup_matches_totient_loop_on_sweep_factors(monkeypatch):
+    # Record every equation the 900-array sweep hands the circle solver;
+    # the torus witnesses are irrelevant here and are skipped.
+    equations = set()
+    real = arrays.solve_unit_circle
+
+    def spy(p):
+        equations.add(p)
+        return real(p)
+
+    monkeypatch.setattr(arrays, "solve_unit_circle", spy)
+    monkeypatch.setattr(arrays, "nonsimple_witness_search", lambda p: None)
+    for struct in arrays.STRUCTURES.values():
+        for arr in arrays.enumerate_count_arrays(struct):
+            arrays.classify_array.__wrapped__(arr)
+    assert len(equations) == 880
+    factors = set()
+    for p in equations:
+        low = min(e for (e,) in p.coeffs)
+        cleared = sympy.Poly(
+            sum(c * _X ** (e - low) for (e,), c in p.coeffs.items()), _X
+        )
+        factors.update(f for f, _ in cleared.factor_list()[1])
+    orders = set()
+    for f in factors:
+        n = _cyclotomic_order(f)
+        assert n == _reference_cyclotomic_order(f), f
+        orders.add(n)
+    assert None in orders and len(orders) > 5
 
 
 def test_mixed_exact_and_algebraic():
@@ -269,6 +380,33 @@ def test_torus_solver_input_checks():
         solve_torus(lp({0: 1, 1: 1}))
     with pytest.raises(ValueError, match="identically zero"):
         solve_torus(lp2({}))
+
+
+def _reference_coeff_rows(poly, main, other):
+    """The sympy expression round trip that ``_coeff_rows`` replaced."""
+    return [
+        tuple(int(cc) for cc in sympy.Poly(c, other).all_coeffs())
+        if c.free_symbols else int(c)
+        for c in sympy.Poly(poly.as_expr(), main).all_coeffs()
+    ]
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.integers(-3, 3).filter(bool),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_coeff_rows_match_sympy_round_trip(coeffs):
+    ta, tb = solve._TA, solve._TB
+    poly = sympy.Poly.from_dict(coeffs, ta, tb)
+    for main, other in ((ta, tb), (tb, ta)):
+        assert solve._coeff_rows(poly, main) == (
+            _reference_coeff_rows(poly, main, other)
+        )
 
 
 def test_torus_empty_when_constant_dominates():
