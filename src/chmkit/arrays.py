@@ -632,7 +632,7 @@ class ArrayClassification:
     nonsimple_witness: Optional[tuple] = None
 
 
-_EMPTY_COMPLETE = SolutionSet((), (), (), complete=True)
+_EMPTY_COMPLETE = SolutionSet((), (), complete=True)
 
 
 def _one_var_label(array: CountArray, sol: SolutionSet) -> str:
@@ -728,13 +728,12 @@ def _classify_generic(array: CountArray) -> ArrayClassification:
         return ArrayClassification(
             array,
             CaseLabel("SimpleOnly"),
-            SolutionSet((), (), (), complete=False),
+            SolutionSet((), (), complete=False),
             vacuous=True,
             solutions_agree=True,
         )
 
     exact_pairs = []
-    witnesses = []
     seen = set()
     for rel in _GENERIC_SWEEP:
         residue = rel.substitute(p)
@@ -754,17 +753,9 @@ def _classify_generic(array: CountArray) -> ArrayClassification:
                 (root_of_unity(ta.numerator, ta.denominator),
                  root_of_unity(tb.numerator, tb.denominator))
             )
-        for ap in sol.algebraic_points:
-            for theta in (ap.theta, -ap.theta):
-                witnesses.append(rel.point(theta, math.pi, 2 * math.pi))
 
     nonsimple = _generic_tree_nonsimple(counts)
-    witness = None
-    if nonsimple:
-        witness = nonsimple_witness_search(p)
-        if witness is not None:
-            witnesses.append(witness)
-
+    witness = nonsimple_witness_search(p) if nonsimple else None
     tag = None
     if nonsimple:
         tag = _generic_tag_table()[conjugate_canonical(array).counts]
@@ -772,7 +763,6 @@ def _classify_generic(array: CountArray) -> ArrayClassification:
     sol = SolutionSet(
         exact_points=tuple(exact_pairs),
         algebraic_points=(),
-        numeric_witnesses=tuple(witnesses),
         complete=False,
     )
     agree: Optional[bool]

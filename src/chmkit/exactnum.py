@@ -1,11 +1,16 @@
-"""Exact arithmetic for unit-modulus scalars and integer sums of roots of unity.
+"""Exact arithmetic for unit-modulus scalars, integer sums of roots of unity,
+and points of the unit torus in real number fields.
 
-Two layers.  ``UnitValue`` models a single matrix entry: either an exact root
+Three layers.  ``UnitValue`` models a single matrix entry: either an exact root
 of unity e(p/q) = exp(2*pi*i*p/q) stored as a reduced fraction of a turn, or
 a float point on the unit circle.  ``CycSum`` models an integer combination
 of roots of unity of a common order N, stored on the power basis
 1, z, ..., z^(phi(N)-1) of the N-th cyclotomic field; on that basis a sum is
 zero iff every coefficient is zero, which makes orthogonality tests exact.
+``CosinePoint`` models a point (a, b) of the torus that need not be a pair of
+roots of unity: the cosines of its two angles lie in one real number field
+``Field`` = Q(theta) and each sine is a sign times sqrt(1 - cos^2).  It decides
+exactly whether an integer Laurent polynomial vanishes there.
 """
 
 from __future__ import annotations
@@ -14,12 +19,13 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from sympy import cyclotomic_poly
+import sympy
+from sympy import Symbol, cyclotomic_poly
 
 TOL = 1e-9
-DEFAULT_ORDER = 24
 ORDER_CAP = 5040
 
 # The eight simple values {1, -1, i, -i, w, w^2, -w, -w^2}, the points
@@ -209,10 +215,6 @@ class CycSum:
         raise AttributeError("CycSum is immutable")
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "CycSum":
-        return cls(order, ())
-
-    @classmethod
     def from_exponents(cls, order: int, exponents: Iterable[int]) -> "CycSum":
         vec = [0] * order
         for k in exponents:
@@ -320,3 +322,240 @@ def is_zero(s: CycSum) -> bool:
 
 def is_real(s: CycSum) -> bool:
     return s.is_real()
+
+
+# --- real number fields and points of the torus ----------------------------
+
+_T = Symbol("t", real=True)
+
+
+def as_fraction(q) -> Fraction:
+    """A sympy Rational as a Fraction."""
+    return Fraction(int(q.p), int(q.q))
+
+
+def _horner(coeffs, x):
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+class Field:
+    """Q(theta) = Q[t]/(m) for one real algebraic number theta.
+
+    ``minpoly`` is m, monic and irreducible, as ascending Fractions, and
+    theta is its only root in [lo, hi] (lo == hi when theta is
+    rational). An element is a polynomial in theta of degree below
+    deg m, so it is zero exactly when its remainder mod m is. The sign
+    of a non-zero element comes from exact interval Horner on [lo, hi];
+    while the enclosure still contains 0 the interval is bisected on
+    the sign of m. The enclosure shrinks onto the element's non-zero
+    value, so the loop always ends; the refined interval is kept for
+    the next test.
+    """
+
+    __slots__ = ("minpoly", "lo", "hi", "_lo_positive")
+
+    def __init__(self, minpoly, lo: Fraction, hi: Fraction):
+        self.minpoly = tuple(minpoly)
+        self.lo, self.hi = lo, hi
+        self._lo_positive = _horner(self.minpoly, lo) > 0
+
+    @classmethod
+    def of_root(cls, root) -> "Field":
+        """The field of a sympy Rational or a real ``CRootOf``."""
+        if root.is_Rational:
+            r = as_fraction(root)
+            return cls((-r, Fraction(1)), r, r)
+        poly = sympy.Poly(root.poly)
+        (lo, hi), _ = poly.intervals()[root.index]
+        coeffs = [Fraction(int(c)) for c in reversed(poly.all_coeffs())]
+        return cls([c / coeffs[-1] for c in coeffs], as_fraction(lo), as_fraction(hi))
+
+    def __call__(self, *coeffs) -> "FieldElement":
+        """The element sum(coeffs[i] * theta^i)."""
+        c = list(coeffs)
+        d = len(self.minpoly) - 1
+        for top in range(len(c) - 1, d - 1, -1):
+            lead = c.pop()
+            if lead:
+                for j in range(d):
+                    c[top - d + j] -= lead * self.minpoly[j]
+        while c and not c[-1]:
+            c.pop()
+        return FieldElement(self, tuple(c))
+
+    def sign(self, coeffs) -> int:
+        if not coeffs:
+            return 0
+        while True:
+            low = high = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                ends = (low * self.lo, low * self.hi, high * self.lo, high * self.hi)
+                low, high = min(ends) + c, max(ends) + c
+            if low > 0:
+                return 1
+            if high < 0:
+                return -1
+            mid = (self.lo + self.hi) / 2
+            if (_horner(self.minpoly, mid) > 0) == self._lo_positive:
+                self.lo = mid
+            else:
+                self.hi = mid
+
+
+class FieldElement:
+    """An element of a ``Field``; +, - and * take ints and Fractions too."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: Field, coeffs: tuple):
+        self.field = field
+        self.coeffs = coeffs
+
+    def __add__(self, other):
+        terms = other.coeffs if isinstance(other, FieldElement) else (other,)
+        return self.field(*(
+            x + y for x, y in zip_longest(self.coeffs, terms, fillvalue=0)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FieldElement(self.field, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, FieldElement):
+            return self.field(*(c * other for c in self.coeffs))
+        prod = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                prod[i + j] += x * y
+        return self.field(*prod)
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def sign(self) -> int:
+        return self.field.sign(self.coeffs)
+
+
+def real_root_fields(poly):
+    """Each distinct real root of the sympy ``poly``, in increasing
+    order, as the pair (sympy root, its field).
+
+    ``real_roots`` lists the roots with multiplicity; without radicals
+    it names the same roots in the same order as a Rational or a
+    ``CRootOf``, which carries the root's irreducible factor.
+    """
+    previous = None
+    for root, exact in zip(poly.real_roots(), poly.real_roots(radicals=False)):
+        if exact != previous:
+            previous = exact
+            yield root, Field.of_root(exact)
+
+
+def cos_field(cos_minpoly, cos_value) -> Field:
+    """The field of ``cos_value``, a real root of the integer polynomial
+    with ascending coefficients ``cos_minpoly``."""
+    poly = sympy.Poly(list(reversed(cos_minpoly)), _T)
+    return next(field for root, field in real_root_fields(poly)
+                if root == cos_value)
+
+
+def in_unit_interval(x: FieldElement) -> bool:
+    return (x + 1).sign() >= 0 and (1 - x).sign() >= 0
+
+
+def sqrt_sum_vanishes(alpha: FieldElement, p: FieldElement,
+                      beta: FieldElement, q: FieldElement) -> bool:
+    """Whether alpha*sqrt(p) + beta*sqrt(q) = 0, for p, q >= 0.
+
+    Either both terms vanish, or neither does and they cancel: alpha
+    and beta have opposite signs and alpha^2 p = beta^2 q.
+    """
+    first = alpha.is_zero() or p.is_zero()
+    second = beta.is_zero() or q.is_zero()
+    if first or second:
+        return first and second
+    return ((alpha * alpha * p - beta * beta * q).is_zero()
+            and alpha.sign() == -beta.sign())
+
+
+class CosinePoint:
+    """The point (a, b) = (e^(i*t1), e^(i*t2)) of the torus, exactly.
+
+    c1 = cos t1 and c2 = cos t2 are elements of one ``Field``, both in
+    [-1, 1]; s1 and s2 are the signs of the sines, 0 when a sine
+    vanishes, so sin t = s*sqrt(r) with r = 1 - c^2. A power a^j is
+    T_|j|(c1) + i*sgn(j)*U_(|j|-1)(c1)*sin t1, with the Chebyshev
+    polynomials T and U, so an integer Laurent polynomial p in (a, b)
+    has, for A, B, C and D in the field,
+
+        Re p = A + s1*s2*B*sqrt(r1*r2),   Im p = s1*C*sqrt(r1) + s2*D*sqrt(r2),
+
+    and each part is zero exactly when one ``sqrt_sum_vanishes`` test
+    says so. The Chebyshev values, and their products for each monomial
+    a^j*b^k, are built once per point, as far as the polynomials tested
+    need them.
+    """
+
+    __slots__ = ("field", "s1", "s2", "r1", "r2", "r12", "_tables", "_products")
+
+    def __init__(self, c1: FieldElement, s1: int, c2: FieldElement, s2: int):
+        self.field = c1.field
+        self.s1, self.s2 = s1, s2
+        self.r1, self.r2 = 1 - c1 * c1, 1 - c2 * c2
+        self.r12 = self.r1 * self.r2
+        one, zero = self.field(1), self.field()
+        # per letter, T_n(c) and U_(n-1)(c) at index n
+        self._tables = tuple(([one, c], [zero, one]) for c in (c1, c2))
+        self._products = {}
+
+    def _power(self, letter: int, j: int):
+        """cos(j*t) and sin(j*t)/sin(t) at the angle t of one letter."""
+        cos, ratio = self._tables[letter]
+        while len(cos) <= abs(j):
+            twice = 2 * cos[1]
+            cos.append(twice * cos[-1] - cos[-2])
+            ratio.append(twice * ratio[-1] - ratio[-2])
+        return cos[abs(j)], (ratio[j] if j >= 0 else -ratio[-j])
+
+    def _sum(self, p, part: int) -> FieldElement:
+        """The sum over the terms c*a^j*b^k of p of c times one product
+        of the two letters' powers: cos*cos, ratio*ratio, ratio*cos or
+        cos*ratio for ``part`` 0 to 3, in the names of ``_power``."""
+        acc = [0] * (len(self.field.minpoly) - 1)
+        for (j, k), c in p.coeffs.items():
+            products = self._products.get((j, k))
+            if products is None:
+                cos1, ratio1 = self._power(0, j)
+                cos2, ratio2 = self._power(1, k)
+                products = self._products[j, k] = (
+                    cos1 * cos2, ratio1 * ratio2, ratio1 * cos2, cos1 * ratio2)
+            # elements are reduced, so their combinations need no reduction
+            for i, x in enumerate(products[part].coeffs):
+                acc[i] += c * x
+        return self.field(*acc)
+
+    def real_vanishes(self, p) -> bool:
+        """Whether Re p(a, b) = 0; ``p`` is a two-variable ``LaurentPoly``."""
+        A, B = self._sum(p, 0), -self._sum(p, 1)
+        return sqrt_sum_vanishes(A, self.field(1), self.s1 * self.s2 * B, self.r12)
+
+    def imag_vanishes(self, p) -> bool:
+        """Whether Im p(a, b) = 0."""
+        C, D = self._sum(p, 2), self._sum(p, 3)
+        return sqrt_sum_vanishes(self.s1 * C, self.r1, self.s2 * D, self.r2)
+
+    def vanishes(self, p) -> bool:
+        """Whether p(a, b) = 0."""
+        return self.real_vanishes(p) and self.imag_vanishes(p)

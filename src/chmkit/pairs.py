@@ -12,15 +12,13 @@ both imaginary parts. The verdict is therefore a proof, not a sampling
 claim: NoCommon and SimpleOnlyCommon enumerate every common point.
 
 Every candidate on that line is one real root theta of the quadric
-polynomial in the line parameter, and every quantity the tests need is
-a polynomial in theta, so they run in the number field Q(theta) =
-Q[t]/(m), m the irreducible factor with root theta (``_Field``). A
-quantity is zero exactly when its remainder mod m is; the sign of a
-non-zero one comes from exact rational interval arithmetic on theta's
-isolating interval, refined until the sign is fixed. A sine enters as
-s*sqrt(1 - x^2), and each sine test has the form a*sqrt(P) + b*sqrt(Q)
-= 0 with P, Q >= 0, which is decided by those two tests alone. No
-verdict rests on a numeric cut-off: the float re-evaluation of each
+polynomial in the line parameter, so its coordinates lie in the number
+field Q(theta) (``exactnum.Field``), where zero and sign tests are
+exact. A candidate with the signs of its two sines is an
+``exactnum.CosinePoint``, which decides exactly whether an equation
+vanishes there. The same test against the equations x - s*y^k of
+``solve.SETTLED_RELATIONS`` decides whether a common point is simple.
+No verdict rests on a numeric cut-off: the float re-evaluation of each
 common point at 1e-9 only guards against a bug, and raises if it fails.
 
 real_part_system exposes the line-meets-quadric elimination for the
@@ -28,15 +26,12 @@ recurring special family where one equation reduces to x_j + 2*x_k = 0
 and the other spreads the coefficients {1,1,2,2} over a constant and
 the three cosines. Squaring the compatibility relation introduces
 spurious roots, so every root carries range and branch annotations
-instead of a bare yes/no.
+instead of a bare yes/no; a root is simple when its cosine is one of
+those of the eight simple values of ``exactnum.SIMPLE_VALUES``.
 
 h2_alphabet_relations collects the constraints a 2x2 unimodular
 orthogonality pattern forces on a three-entry alphabet {1,a,b} and
 solves the pairwise combinations exactly.
-
-Candidate points are judged simple against ``solve.SETTLED_RELATIONS``,
-in cosine and sine form, and cosines against those of the eight simple
-values of ``exactnum.SIMPLE_VALUES``.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Optional
 
 import sympy
@@ -56,7 +50,16 @@ from .arrays import (
     is_simple,
     original_equation,
 )
-from .exactnum import SIMPLE_VALUES, root_of_unity
+from .exactnum import (
+    SIMPLE_VALUES,
+    CosinePoint,
+    as_fraction,
+    cos_field,
+    in_unit_interval,
+    real_root_fields,
+    root_of_unity,
+    sqrt_sum_vanishes,
+)
 from .solve import (
     SETTLED_RELATIONS,
     LaurentPoly,
@@ -77,164 +80,12 @@ _GENERIC_STRUCT = STRUCTURES["GENERIC"]
 # importing the module evaluates no sympy trigonometry.
 _SIMPLE_COSINES = tuple(sorted({Fraction(round(2 * v.real), 2) for v in SIMPLE_VALUES}))
 
+# The ten settled relations as equations x - s*y^k = 0 in (a, b).
+_SETTLED_EQUATIONS = tuple(rel.equation for rel in SETTLED_RELATIONS)
+
 
 class UnsupportedPair(NotImplementedError):
     """The pair falls outside the implemented elimination shapes."""
-
-
-# --- exact arithmetic in Q(theta) -----------------------------------------
-
-
-def _fraction(q) -> Fraction:
-    """A sympy Rational as a Fraction."""
-    return Fraction(int(q.p), int(q.q))
-
-
-def _horner(coeffs, x):
-    value = 0
-    for c in reversed(coeffs):
-        value = value * x + c
-    return value
-
-
-class _Field:
-    """Q(theta) = Q[t]/(m) for one real algebraic number theta.
-
-    ``minpoly`` is m, monic and irreducible, as ascending Fractions, and
-    theta is its only root in [lo, hi] (lo == hi when theta is
-    rational). An element is a polynomial in theta of degree below
-    deg m, so it is zero exactly when its remainder mod m is. The sign
-    of a non-zero element comes from exact interval Horner on [lo, hi];
-    while the enclosure still contains 0 the interval is bisected on
-    the sign of m. The enclosure shrinks onto the element's non-zero
-    value, so the loop always ends; the refined interval is kept for
-    the next test.
-    """
-
-    __slots__ = ("minpoly", "lo", "hi", "_lo_positive")
-
-    def __init__(self, minpoly, lo: Fraction, hi: Fraction):
-        self.minpoly = tuple(minpoly)
-        self.lo, self.hi = lo, hi
-        self._lo_positive = _horner(self.minpoly, lo) > 0
-
-    @classmethod
-    def of_root(cls, root) -> "_Field":
-        """The field of a sympy Rational or a real ``CRootOf``."""
-        if root.is_Rational:
-            r = _fraction(root)
-            return cls((-r, Fraction(1)), r, r)
-        poly = sympy.Poly(root.poly)
-        (lo, hi), _ = poly.intervals()[root.index]
-        coeffs = [Fraction(int(c)) for c in reversed(poly.all_coeffs())]
-        return cls([c / coeffs[-1] for c in coeffs], _fraction(lo), _fraction(hi))
-
-    def __call__(self, *coeffs) -> "_Num":
-        """The element sum(coeffs[i] * theta^i)."""
-        c = list(coeffs)
-        d = len(self.minpoly) - 1
-        for top in range(len(c) - 1, d - 1, -1):
-            lead = c.pop()
-            if lead:
-                for j in range(d):
-                    c[top - d + j] -= lead * self.minpoly[j]
-        while c and not c[-1]:
-            c.pop()
-        return _Num(self, tuple(c))
-
-    def sign(self, coeffs) -> int:
-        if not coeffs:
-            return 0
-        while True:
-            low = high = coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                ends = (low * self.lo, low * self.hi, high * self.lo, high * self.hi)
-                low, high = min(ends) + c, max(ends) + c
-            if low > 0:
-                return 1
-            if high < 0:
-                return -1
-            mid = (self.lo + self.hi) / 2
-            if (_horner(self.minpoly, mid) > 0) == self._lo_positive:
-                self.lo = mid
-            else:
-                self.hi = mid
-
-
-class _Num:
-    """An element of a ``_Field``; +, - and * take ints and Fractions too."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: _Field, coeffs: tuple):
-        self.field = field
-        self.coeffs = coeffs
-
-    def __add__(self, other):
-        terms = other.coeffs if isinstance(other, _Num) else (other,)
-        return self.field(*(
-            x + y for x, y in zip_longest(self.coeffs, terms, fillvalue=0)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Num(self.field, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if not isinstance(other, _Num):
-            return self.field(*(c * other for c in self.coeffs))
-        prod = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            for j, y in enumerate(other.coeffs):
-                prod[i + j] += x * y
-        return self.field(*prod)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def sign(self) -> int:
-        return self.field.sign(self.coeffs)
-
-
-def _real_root_fields(poly):
-    """Each distinct real root of ``poly``, in increasing order, as the
-    pair (sympy root, its field).
-
-    ``real_roots`` lists the roots with multiplicity; without radicals
-    it names the same roots in the same order as a Rational or a
-    ``CRootOf``, which carries the root's irreducible factor.
-    """
-    previous = None
-    for root, exact in zip(poly.real_roots(), poly.real_roots(radicals=False)):
-        if exact != previous:
-            previous = exact
-            yield root, _Field.of_root(exact)
-
-
-def _in_unit_interval(x: _Num) -> bool:
-    return (x + 1).sign() >= 0 and (1 - x).sign() >= 0
-
-
-def _sqrt_sum_vanishes(alpha: _Num, p: _Num, beta: _Num, q: _Num) -> bool:
-    """Whether alpha*sqrt(p) + beta*sqrt(q) = 0, for p, q >= 0.
-
-    Either both terms vanish, or neither does and they cancel: alpha
-    and beta have opposite signs and alpha^2 p = beta^2 q.
-    """
-    first = alpha.is_zero() or p.is_zero()
-    second = beta.is_zero() or q.is_zero()
-    if first or second:
-        return first and second
-    return ((alpha * alpha * p - beta * beta * q).is_zero()
-            and alpha.sign() == -beta.sign())
 
 
 # --- one-variable pairs -------------------------------------------------
@@ -272,7 +123,7 @@ def _common_one_variable(pA: LaurentPoly, pB: LaurentPoly) -> "PairVerdict":
     g = sympy.gcd(_laurent_to_intpoly(pA), _laurent_to_intpoly(pB))
     g = sympy.Poly(g, _Z)
     if g.degree() == 0:
-        empty = SolutionSet((), (), (), complete=True)
+        empty = SolutionSet((), (), complete=True)
         return PairVerdict("NoCommon", common=empty, points=(),
                            witness=None, method="gcd")
     common = solve_unit_circle(_intpoly_to_laurent(g, pA.variables[0]))
@@ -321,35 +172,6 @@ def _real_linear(p: LaurentPoly):
     return c0, c1, c2, c12
 
 
-def _imag_linear(p: LaurentPoly):
-    """Coefficients (u, v, w) of Im p = u*s1 + v*s2 + w*sin(t1 - t2)."""
-    u = v = w = 0
-    for (e1, e2), c in p.coeffs.items():
-        if (e1, e2) == (1, 0):
-            u += c
-        elif (e1, e2) == (-1, 0):
-            u -= c
-        elif (e1, e2) == (0, 1):
-            v += c
-        elif (e1, e2) == (0, -1):
-            v -= c
-        elif (e1, e2) == (1, -1):
-            w += c
-        elif (e1, e2) == (-1, 1):
-            w -= c
-        elif (e1, e2) != (0, 0):
-            raise UnsupportedPair(f"unexpected product exponent {(e1, e2)}")
-    return u, v, w
-
-
-def _imag_vanishes(imcoeffs, x2: _Num, x3: _Num, sa: int, sb: int) -> bool:
-    # Im p = s1*(u + w*x3) + s2*(v - w*x2) after expanding sin(t1-t2),
-    # with s1 = sa*sqrt(1 - x2^2) and s2 = sb*sqrt(1 - x3^2)
-    u, v, w = imcoeffs
-    return _sqrt_sum_vanishes(sa * (u + w * x3), 1 - x2 * x2,
-                              sb * (v - w * x2), 1 - x3 * x3)
-
-
 @dataclass(frozen=True)
 class CommonPoint:
     """One exact common solution of a two-variable pair.
@@ -376,34 +198,9 @@ class CommonPoint:
         return t1, t2
 
 
-def _power_cos_sin(c: _Num, s: int, k: int):
-    """cos(k*t) and g with sin(k*t) = g*sqrt(1 - c^2), for c = cos t and
-    sin t = s*sqrt(1 - c^2), k in {0, -1, 1, 2}."""
-    if k == 0:
-        return c.field(1), c.field(0)
-    if k == 2:
-        return 2 * c * c - 1, 2 * s * c
-    return c, c.field(k * s)
-
-
-def _candidate_simple(x2: _Num, sa: int, x3: _Num, sb: int) -> bool:
-    """Exact test of the ten settled relations at one candidate point.
-
-    The point has cos t1 = x2 and cos t2 = x3, two elements of one
-    field, and sines sa*sqrt(1 - x2^2) and sb*sqrt(1 - x3^2). Each
-    relation x = s*y^k holds when the cosines and the sines of x and
-    s*y^k agree.
-    """
-    cos_sin = ((x2, sa), (x3, sb))
-    for rel in SETTLED_RELATIONS:
-        cx, sx = cos_sin[rel.letter]
-        cy, sy = cos_sin[1 - rel.letter]
-        cos_k, sin_k = _power_cos_sin(cy, sy, rel.power)
-        s = rel.rhs_sign
-        if (cx - s * cos_k).is_zero() and _sqrt_sum_vanishes(
-                cx.field(sx), 1 - cx * cx, -s * sin_k, 1 - cy * cy):
-            return True
-    return False
+def _on_settled_relation(pt: CosinePoint) -> bool:
+    """Exact test of the ten settled relations at one point."""
+    return any(pt.vanishes(eq) for eq in _SETTLED_EQUATIONS)
 
 
 def _solve_real_line(pA: LaurentPoly, pB: LaurentPoly):
@@ -435,8 +232,8 @@ def _solve_real_line(pA: LaurentPoly, pB: LaurentPoly):
     return None
 
 
-def _line_candidates(coords, imA, imB):
-    """Exact common points on one real-part line.
+def _line_candidates(coords, pA, pB):
+    """Exact common points of pA and pB on their real-part line.
 
     Returns None when the line lies inside the compatibility quadric,
     which happens exactly when one coordinate is pinned to +-1; the
@@ -452,14 +249,14 @@ def _line_candidates(coords, imA, imB):
     points = []
     if poly.degree() == 0:
         return points
-    lines = [[_fraction(c) for c in reversed(sympy.Poly(e, _T).all_coeffs())]
+    lines = [[as_fraction(c) for c in reversed(sympy.Poly(e, _T).all_coeffs())]
              for e in coords]
     # Distinct points come from distinct roots: the parameter is one of
     # the coordinates, and if x2 and x3 stay fixed along the line, x4 -
     # x2*x3 = s1*s2 tells the sine signs of the two roots apart.
-    for root, field in _real_root_fields(poly):
+    for root, field in real_root_fields(poly):
         x2, x3, x4 = (field(*line) for line in lines)
-        if not all(_in_unit_interval(x) for x in (x2, x3, x4)):
+        if not all(in_unit_interval(x) for x in (x2, x3, x4)):
             continue
         prod = x4 - x2 * x3
         rad2, rad3 = 1 - x2 * x2, 1 - x3 * x3
@@ -468,17 +265,19 @@ def _line_candidates(coords, imA, imB):
         for sa in sa_options:
             for sb in sb_options:
                 # prod = s1*s2 = sa*sb*sqrt(rad2*rad3)
-                if not _sqrt_sum_vanishes(prod, field(1), field(-sa * sb),
-                                          rad2 * rad3):
+                if not sqrt_sum_vanishes(prod, field(1), field(-sa * sb),
+                                         rad2 * rad3):
                     continue
-                if not _imag_vanishes(imA, x2, x3, sa, sb):
-                    continue
-                if not _imag_vanishes(imB, x2, x3, sa, sb):
+                # Both real parts are linear in x2, x3 and x4, and the
+                # check above makes x4 = cos(t1 - t2) at this point, so
+                # on the line they vanish by construction.
+                pt = CosinePoint(x2, sa, x3, sb)
+                if not (pt.imag_vanishes(pA) and pt.imag_vanishes(pB)):
                     continue
                 points.append(CommonPoint(
                     cos_a=x2e.subs(_T, root), sign_a=sa,
                     cos_b=x3e.subs(_T, root), sign_b=sb,
-                    simple=_candidate_simple(x2, sa, x3, sb),
+                    simple=_on_settled_relation(pt),
                 ))
     return points
 
@@ -487,7 +286,7 @@ def _common_two_variable(pA: LaurentPoly, pB: LaurentPoly) -> "PairVerdict":
     coords = _solve_real_line(pA, pB)
     if coords is None:
         return _difference_route(pA, pB)
-    points = _line_candidates(coords, _imag_linear(pA), _imag_linear(pB))
+    points = _line_candidates(coords, pA, pB)
     if points is None:
         return _ruled_line_route(coords, pA, pB)
     for pt in points:
@@ -645,27 +444,20 @@ def _ruled_line_route(coords, pA, pB) -> "PairVerdict":
     )
 
 
-def _cos_field(ap) -> _Field:
-    """The field of an ``AlgebraicPoint``'s cosine, a root of ``cos_minpoly``."""
-    poly = sympy.Poly(list(reversed(ap.cos_minpoly)), _T)
-    return next(field for root, field in _real_root_fields(poly)
-                if root == ap.cos_value)
-
-
 def _algebraic_line_points(group: str, value: int, ap):
     cosv = ap.cos_value
     fixed = sympy.Integer(value)
     if group != "a/b":
-        field = _cos_field(ap)
+        field = cos_field(ap.cos_minpoly, cosv)
         theta, pinned = field(0, 1), field(value)
     out = []
     for sign in (1, -1):
         if group == "a":
-            pt = CommonPoint(fixed, 0, cosv, sign,
-                             _candidate_simple(pinned, 0, theta, sign))
+            pt = CommonPoint(fixed, 0, cosv, sign, _on_settled_relation(
+                CosinePoint(pinned, 0, theta, sign)))
         elif group == "b":
-            pt = CommonPoint(cosv, sign, fixed, 0,
-                             _candidate_simple(theta, sign, pinned, 0))
+            pt = CommonPoint(cosv, sign, fixed, 0, _on_settled_relation(
+                CosinePoint(theta, sign, pinned, 0)))
         else:
             # a = +-b with the same algebraic b: the identification is
             # itself one of the settled relations, hence simple
@@ -776,7 +568,7 @@ def _exact_real_roots(coefficients):
     """The distinct real roots of an integer polynomial of degree at
     most 3, in radicals and in increasing order, and the field of each."""
     poly = sympy.Poly(list(reversed(coefficients)), _T)
-    fields = [field for _, field in _real_root_fields(poly)]
+    fields = [field for _, field in real_root_fields(poly)]
     out = sorted((r for r in sympy.roots(poly) if r.is_real),
                  key=lambda r: float(r.evalf(30)))
     if len(out) != len(fields):
@@ -812,7 +604,7 @@ def real_part_system(placement) -> RealPartElimination:
     annotated = []
     for value, field in zip(all_roots, fields):
         x = field(0, 1)
-        if not _in_unit_interval(x):
+        if not in_unit_interval(x):
             continue
         partner = -2 * x
         third = -(A + B * x) * Fraction(1, ai)
@@ -820,7 +612,7 @@ def real_part_system(placement) -> RealPartElimination:
         diff = third - partner * x
         signs = ()
         if radicand.sign() >= 0:
-            signs = tuple(s for s in (1, -1) if _sqrt_sum_vanishes(
+            signs = tuple(s for s in (1, -1) if sqrt_sum_vanishes(
                 diff, field(1), field(-s), radicand))
         annotated.append(PairedRealRoot(
             value=value,
@@ -828,8 +620,8 @@ def real_part_system(placement) -> RealPartElimination:
             third=sympy.expand(-(sympy.Integer(A) + B * value) / ai),
             simple=any((x - c).is_zero() for c in _SIMPLE_COSINES),
             in_range=True,
-            partner_in_range=_in_unit_interval(partner),
-            third_in_range=_in_unit_interval(third),
+            partner_in_range=in_unit_interval(partner),
+            third_in_range=in_unit_interval(third),
             branch_signs=signs,
         ))
     return RealPartElimination(

@@ -100,16 +100,6 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash((self.variables, tuple(sorted(self.coeffs.items()))))
 
-    def to_sympy(self):
-        syms = [Symbol(v) for v in self.variables]
-        expr = sympy.Integer(0)
-        for exps, c in self.coeffs.items():
-            term = sympy.Integer(c)
-            for s, e in zip(syms, exps):
-                term *= s ** e
-            expr += term
-        return expr
-
     def evaluate(self, *points: complex) -> complex:
         if len(points) != len(self.variables):
             raise ValueError("wrong number of evaluation points")
@@ -162,13 +152,11 @@ class SolutionSet:
     remaining solutions as cos(theta) algebraic numbers (each standing
     for a conjugate pair). ``complete`` is always true for one variable;
     the two-variable sets of ``arrays`` set it false: they hold the
-    substitution points and at most one ``solve_torus`` witness, not
-    every solution.
+    roots of unity of the relation substitutions, not every solution.
     """
 
     exact_points: tuple
     algebraic_points: tuple
-    numeric_witnesses: tuple
     complete: bool
 
     def is_empty(self) -> bool:
@@ -269,7 +257,6 @@ def _solve_cleared(coeffs: tuple) -> SolutionSet:
     poly = Poly(coeffs, _X)
     exact = []
     algebraic = []
-    witnesses = []
     for factor, _mult in poly.factor_list()[1]:
         fdeg = factor.degree()
         if fdeg == 0:
@@ -278,9 +265,7 @@ def _solve_cleared(coeffs: tuple) -> SolutionSet:
         if n is not None:
             for k in range(n):
                 if math.gcd(k, n) == 1:
-                    u = root_of_unity(k, n)
-                    exact.append(u)
-                    witnesses.append(2 * math.pi * k / n)
+                    exact.append(root_of_unity(k, n))
             continue
         coeff_list = [int(c) for c in factor.all_coeffs()]
         if fdeg % 2 == 0 and coeff_list == coeff_list[::-1]:
@@ -300,7 +285,6 @@ def _solve_cleared(coeffs: tuple) -> SolutionSet:
                         theta=theta,
                     )
                 )
-                witnesses.append(theta)
         # non-reciprocal, non-cyclotomic factors carry no unimodular roots
 
     exact_sorted = tuple(sorted(set(exact), key=lambda u: u.turn))
@@ -308,7 +292,6 @@ def _solve_cleared(coeffs: tuple) -> SolutionSet:
     return SolutionSet(
         exact_points=exact_sorted,
         algebraic_points=algebraic_sorted,
-        numeric_witnesses=tuple(sorted(witnesses)),
         complete=True,
     )
 
@@ -363,16 +346,19 @@ class Relation:
         """The k of x = s * y^k."""
         return self.rhs_exps[1 - self.letter]
 
-    def point(self, t, half=Fraction(1, 2), period=1) -> tuple:
-        """(t_a, t_b) on the relation with y at t, each mod ``period``.
+    @property
+    def equation(self) -> LaurentPoly:
+        """x - s*y^k, or lhs - s*rhs, as a polynomial in (a, b)."""
+        return LaurentPoly.from_terms(
+            ("a", "b"), ((self.lhs_exps, 1), (self.rhs_exps, -self.rhs_sign)))
 
-        t_x = k*t_y, plus ``half`` when s = -1. Turns by default; pass
-        half=pi and period=2*pi for angles.
-        """
+    def point(self, t) -> tuple:
+        """(t_a, t_b) in turns on the relation with y at turn t, mod 1:
+        t_x = k*t_y, plus 1/2 when s = -1."""
         tx = self.power * t
         if self.rhs_sign < 0:
-            tx = tx + half
-        pair = (tx % period, t % period)
+            tx = tx + Fraction(1, 2)
+        pair = (tx % 1, t % 1)
         return pair if self.letter == 0 else pair[::-1]
 
     def holds(self, ta: Fraction, tb: Fraction) -> bool:
@@ -409,8 +395,8 @@ _A, _B = (1, 0), (0, 1)
 
 # The ten relations on (a, b) that hand a matrix to an already settled
 # case. This is the package's only list of them: the float residual, the
-# exact turn test, the torus substitutions and the sympy cosine checks
-# of ``pairs`` are all read off it.
+# exact turn test, the torus substitutions and the exact point tests of
+# ``pairs`` (through ``Relation.equation``) are all read off it.
 SETTLED_RELATIONS = (
     Relation(_A, 1, (0, 1)),    # a = b
     Relation(_A, 1, (0, -1)),   # a = conj(b)

@@ -1,6 +1,7 @@
 """Unit tests for count-array enumeration, screening, and classification."""
 
 import cmath
+import collections
 import itertools
 import math
 import random
@@ -30,8 +31,16 @@ from chmkit.arrays import (
     realness_cases,
     structure,
 )
-from chmkit.exactnum import OMEGA, CycSum, UnitValue, is_simple_unit, root_of_unity
-from chmkit.pairs import _Field, _candidate_simple
+from chmkit.exactnum import (
+    OMEGA,
+    CosinePoint,
+    CycSum,
+    Field,
+    UnitValue,
+    is_simple_unit,
+    root_of_unity,
+)
+from chmkit.pairs import _on_settled_relation
 from chmkit.solve import (
     SETTLED_RELATIONS,
     LaurentPoly,
@@ -388,9 +397,9 @@ def test_settled_relations_agree_across_encodings():
 
 
 def test_settled_relations_cosine_form_agrees():
-    """pairs' exact cosine-and-sine checks against the exact turn test,
-    on every point of the 1/12 grid."""
-    field = _Field.of_root(sympy.CRootOf(_R**2 - 3, 1, radicals=False))
+    """pairs' exact test of the settled equations at a CosinePoint
+    against the exact turn test, on every point of the 1/12 grid."""
+    field = Field.of_root(sympy.CRootOf(_R**2 - 3, 1, radicals=False))
     twelfths = [Fraction(k, 12) for k in range(12)]
     for ta, tb in itertools.product(twelfths, twelfths):
         exact = is_simple((_unit(ta), _unit(tb)), GENERIC)
@@ -398,14 +407,40 @@ def test_settled_relations_cosine_form_agrees():
         # under conjugating both
         assert exact == is_simple((_unit(tb), _unit(ta)), GENERIC)
         assert exact == is_simple((_unit(-ta), _unit(-tb)), GENERIC)
-        got = _candidate_simple(*_cos_and_sine_sign(ta, field),
-                                *_cos_and_sine_sign(tb, field))
+        got = _on_settled_relation(CosinePoint(*_cos_and_sine_sign(ta, field),
+                                               *_cos_and_sine_sign(tb, field)))
         assert got == exact, (ta, tb)
     orbits = {
         min((ta, tb), (tb, ta), (-ta % 1, -tb % 1), (-tb % 1, -ta % 1))
         for ta, tb in itertools.product(twelfths, twelfths)
     }
     assert len(orbits) == 43
+
+
+def test_cosine_point_matches_float_evaluation_on_twelfths():
+    """CosinePoint's exact real and imaginary zero tests against the
+    float value of ``LaurentPoly.evaluate`` (1e-9), at every point of
+    the 1/12 grid in Q(sqrt 3), for 30 seeded GENERIC equations and the
+    ten settled ones."""
+    field = Field.of_root(sympy.CRootOf(_R**2 - 3, 1, radicals=False))
+    nonzero = [p for p in map(original_equation, enumerate_count_arrays(GENERIC))
+               if not p.is_zero()]
+    equations = (random.Random(113).sample(nonzero, 30)
+                 + [rel.equation for rel in SETTLED_RELATIONS])
+    twelfths = [Fraction(k, 12) for k in range(12)]
+    outcomes = collections.Counter()
+    for ta, tb in itertools.product(twelfths, twelfths):
+        pt = CosinePoint(*_cos_and_sine_sign(ta, field),
+                         *_cos_and_sine_sign(tb, field))
+        za, zb = _unit(ta).as_complex(), _unit(tb).as_complex()
+        for eq in equations:
+            z = eq.evaluate(za, zb)
+            real, imag = pt.real_vanishes(eq), pt.imag_vanishes(eq)
+            assert real == (abs(z.real) <= 1e-9), (ta, tb, eq)
+            assert imag == (abs(z.imag) <= 1e-9), (ta, tb, eq)
+            assert pt.vanishes(eq) == (real and imag)
+            outcomes[real, imag] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) > 100, outcomes
 
 
 def test_settled_substitutions_restrict_the_equation():
@@ -437,7 +472,7 @@ def test_settled_substitutions_restrict_the_equation():
                 ta, tb = rel.point(u.turn)
                 assert _relation_holds(rel, {0: ta, 1: tb}), (arr, rel, u)
             for ap in sol.algebraic_points:
-                t1, t2 = rel.point(ap.theta, math.pi, 2 * math.pi)
+                t1, t2 = (2 * math.pi * t for t in rel.point(ap.theta / (2 * math.pi)))
                 a, b = cmath.exp(1j * t1), cmath.exp(1j * t2)
                 x, y = (a, b) if rel.letter == 0 else (b, a)
                 assert abs(x - rel.rhs_sign * y ** rel.power) < 1e-9, (arr, rel)

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from chmkit import equivalence
 from chmkit.equivalence import (
     EquivalenceCertificate,
+    _anchored_dephase,
     complex_equivalent,
     dephase,
     fingerprint,
@@ -14,7 +16,7 @@ from chmkit.equivalence import (
     sorted_canonical_form,
 )
 from chmkit.exactnum import ONE, OMEGA, UnitValue, root_of_unity
-from chmkit.matrices import Matrix6, apply_monomial, catalog, is_chm
+from chmkit.matrices import CATALOG_NAMES, Matrix6, apply_monomial, catalog, is_chm
 
 
 def random_monomial_image(m, rng):
@@ -58,6 +60,13 @@ class TestDephase:
 
     def test_stays_in_class(self):
         assert complex_equivalent(dephase(H1), H1) is not None
+
+    def test_is_the_corner_anchored_dephase(self):
+        rng = random.Random(9)
+        for name in CATALOG_NAMES:
+            m = catalog(name)
+            for image in (m, random_monomial_image(m, rng)):
+                assert dephase(image) == _anchored_dephase(image, 0, 0)
 
 
 class TestFingerprint:
@@ -116,6 +125,20 @@ class TestComplexEquivalent:
     def test_distinct_classes_refuted(self):
         assert complex_equivalent(S60, H1) is None
         assert complex_equivalent(F6, H1) is None
+
+    def test_checks_each_input_once(self, monkeypatch):
+        calls = []
+
+        def counting_is_chm(m):
+            calls.append(m)
+            return is_chm(m)
+
+        monkeypatch.setattr(equivalence, "is_chm", counting_is_chm)
+        image = random_monomial_image(S60, random.Random(17))
+        for a, b, found in ((S60, image, True), (S60, H1, False)):
+            calls.clear()
+            assert (complex_equivalent(a, b) is not None) == found
+            assert calls == [a, b]
 
     def test_mode_mixing_rejected(self):
         with pytest.raises(ValueError):

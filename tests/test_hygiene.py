@@ -44,6 +44,61 @@ def test_scan_finds_an_unused_import():
     assert _unused_module_imports(tree) == [(1, "os"), (3, "c")]
 
 
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_READERS = ("src", "tests", "chmbench")
+
+
+def _dead_definitions(defining: dict, reading: list) -> list:
+    """(module, line, name) of each function, method and class defined
+    in the ``defining`` trees (by module name) that no ``reading`` tree
+    reads.
+
+    The scan is by name: a definition counts as read when its name
+    occurs anywhere as a variable, an attribute or a string constant
+    (``getattr``, ``monkeypatch.setattr``). A definition that shares
+    its name with something else, such as a local variable, therefore
+    escapes it. Dunder methods are called by the language and exempt.
+    """
+    read = set()
+    for tree in reading:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    dead = []
+    for module, tree in defining.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not (name.startswith("__") and name.endswith("__")) and name not in read:
+                dead.append((module, node.lineno, name))
+    return sorted(dead)
+
+
+def test_every_definition_is_read():
+    defining = {path.name: ast.parse(path.read_text())
+                for path in sorted(_PACKAGE.glob("*.py"))}
+    reading = [ast.parse(path.read_text())
+               for top in _READERS for path in sorted((_ROOT / top).rglob("*.py"))]
+    assert len(reading) > len(defining) > 5
+    assert _dead_definitions(defining, reading) == []
+
+
+def test_scan_finds_a_dead_definition():
+    defining = {"m.py": ast.parse(
+        "class A:\n    def __eq__(self, o): ...\n    def used(self): ...\n"
+        "    def unused(self): ...\n"
+        "def by_string(): ...\ndef shadowed(): ...\ndef gone(): ...\n")}
+    reading = [ast.parse(
+        "A().used()\ngetattr(m, 'by_string')\nshadowed = 1\n")]
+    assert _dead_definitions(defining, reading) == [
+        ("m.py", 4, "unused"), ("m.py", 7, "gone")]
+
+
 def _spans_tables() -> dict:
     """The literal TIMED and COUNTED tables of the benchmark's tracer."""
     tables = {}

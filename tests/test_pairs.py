@@ -12,6 +12,13 @@ import sympy
 
 from chmkit import pairs
 from chmkit.arrays import CountArray, STRUCTURES, enumerate_count_arrays, original_equation
+from chmkit.exactnum import (
+    CosinePoint,
+    Field,
+    in_unit_interval,
+    real_root_fields,
+    sqrt_sum_vanishes,
+)
 from chmkit.solve import SETTLED_RELATIONS, LaurentPoly, solve_unit_circle
 from chmkit.pairs import (
     AlphabetRelationReport,
@@ -364,7 +371,7 @@ def _n1_root_fields():
     for ca, cb in itertools.combinations(_N1, 2):
         poly = _quadric(*_equations(ca, cb))
         exact = list(dict.fromkeys(poly.real_roots(radicals=False)))
-        fields = [field for _, field in pairs._real_root_fields(poly)]
+        fields = [field for _, field in real_root_fields(poly)]
         assert len(exact) == len(fields)
         out.extend(zip(exact, fields))
     return out
@@ -425,9 +432,9 @@ def test_sqrt_sum_test_agrees_with_sympy():
     holds but the sum does not vanish."""
     r = sympy.Symbol("r")
     fields = [
-        (pairs._Field.of_root(sympy.CRootOf(r**2 - 3, 1, radicals=False)),
+        (Field.of_root(sympy.CRootOf(r**2 - 3, 1, radicals=False)),
          sympy.sqrt(3)),
-        (pairs._Field.of_root(sympy.CRootOf(8 * r**2 - r - 1, 0, radicals=False)),
+        (Field.of_root(sympy.CRootOf(8 * r**2 - r - 1, 0, radicals=False)),
          (1 - sympy.sqrt(33)) / 16),
     ]
     rng = random.Random(83)
@@ -445,12 +452,54 @@ def test_sqrt_sum_test_agrees_with_sympy():
             else:
                 P, Q = R, gamma * gamma
                 alpha, beta = delta, kappa
-            got = pairs._sqrt_sum_vanishes(alpha, P, beta, Q)
+            got = sqrt_sum_vanishes(alpha, P, beta, Q)
             expr = (_sympy_element(alpha, theta) * sympy.sqrt(_sympy_element(P, theta))
                     + _sympy_element(beta, theta) * sympy.sqrt(_sympy_element(Q, theta)))
             assert got == _ref_eq(expr, 0), (alpha.coeffs, P.coeffs, beta.coeffs, Q.coeffs)
             outcomes[got] += 1
     assert outcomes[True] >= 5 and outcomes[False] >= 10
+
+
+def test_cosine_point_matches_mpmath_at_n1_quadric_roots():
+    """CosinePoint's exact real and imaginary zero tests against 50-digit
+    evaluation, at every sign choice over every quadric root of the 15
+    N.1 pairs with both cosines in [-1, 1], for the pair's own two
+    equations, 30 seeded GENERIC equations and the ten settled ones."""
+    nonzero = [p for p in map(original_equation, enumerate_count_arrays(GENERIC))
+               if not p.is_zero()]
+    seeded = (random.Random(84).sample(nonzero, 30)
+              + [rel.equation for rel in SETTLED_RELATIONS])
+    outcomes = collections.Counter()
+    with mpmath.workdps(50):
+        for ca, cb in itertools.combinations(_N1, 2):
+            pA, pB = _equations(ca, cb)
+            poly = _quadric(pA, pB)
+            lines = [[Fraction(int(c.p), int(c.q)) for c in
+                      reversed(sympy.Poly(e, pairs._T).all_coeffs())]
+                     for e in pairs._solve_real_line(pA, pB)[:2]]
+            exact_roots = dict.fromkeys(poly.real_roots(radicals=False))
+            fields = [field for _, field in real_root_fields(poly)]
+            for exact, field in zip(exact_roots, fields):
+                theta = mpmath.mpf(str(sympy.N(exact, 70)))
+                x2, x3 = (field(*line) for line in lines)
+                if not (in_unit_interval(x2) and in_unit_interval(x3)):
+                    continue
+                c1, c2 = (mpmath.polyval(list(reversed(line)), theta) for line in lines)
+                for s1, s2 in itertools.product(
+                        (0,) if (1 - x2 * x2).is_zero() else (1, -1),
+                        (0,) if (1 - x3 * x3).is_zero() else (1, -1)):
+                    pt = CosinePoint(x2, s1, x3, s2)
+                    a = mpmath.mpc(c1, s1 * mpmath.sqrt(max(0, 1 - c1 * c1)))
+                    b = mpmath.mpc(c2, s2 * mpmath.sqrt(max(0, 1 - c2 * c2)))
+                    for eq in [pA, pB] + seeded:
+                        z = sum(c * a**j * b**k for (j, k), c in eq.coeffs.items())
+                        for part, got in ((z.real, pt.real_vanishes(eq)),
+                                          (z.imag, pt.imag_vanishes(eq))):
+                            # exact zeros come out below 1e-40, others above 1e-20
+                            assert abs(part) < 1e-40 or abs(part) > 1e-20
+                            assert got == (abs(part) < 1e-40), (ca, cb, s1, s2, eq)
+                            outcomes[got] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 1000, outcomes
 
 
 def test_double_quadric_roots_give_each_point_once():
@@ -517,10 +566,31 @@ def _ref_candidate_simple(x2, sa, x3, sb) -> bool:
     return False
 
 
+def _ref_imag_linear(p: LaurentPoly):
+    """Coefficients (u, v, w) of Im p = u*s1 + v*s2 + w*sin(t1 - t2)."""
+    u = v = w = 0
+    for (e1, e2), c in p.coeffs.items():
+        if (e1, e2) == (1, 0):
+            u += c
+        elif (e1, e2) == (-1, 0):
+            u -= c
+        elif (e1, e2) == (0, 1):
+            v += c
+        elif (e1, e2) == (0, -1):
+            v -= c
+        elif (e1, e2) == (1, -1):
+            w += c
+        elif (e1, e2) == (-1, 1):
+            w -= c
+        elif (e1, e2) != (0, 0):
+            raise pairs.UnsupportedPair(f"unexpected product exponent {(e1, e2)}")
+    return u, v, w
+
+
 def _ref_line_points(pA, pB):
     """The real-line-quadric points, deduplicated with ``_ref_eq``."""
     coords = pairs._solve_real_line(pA, pB)
-    imA, imB = pairs._imag_linear(pA), pairs._imag_linear(pB)
+    imA, imB = _ref_imag_linear(pA), _ref_imag_linear(pB)
     points = []
     for root in _quadric(pA, pB).real_roots():
         values = [sympy.simplify(c.subs(pairs._T, root)) for c in coords]

@@ -167,7 +167,7 @@ def test_sign_and_shift_share_one_solution_set(monkeypatch):
 def test_shared_set_is_reverified_against_each_equation(monkeypatch):
     # A wrong set cached for the cleared polynomial fails the first new
     # equation that shares it.
-    bogus = solve.SolutionSet((root_of_unity(1, 3),), (), (), complete=True)
+    bogus = solve.SolutionSet((root_of_unity(1, 3),), (), complete=True)
     monkeypatch.setattr(solve, "_solve_cleared", lambda coeffs: bogus)
     with pytest.raises(AssertionError, match="re-check"):
         solve_unit_circle(lp({1: 23, 3: 29}))
