@@ -10,9 +10,11 @@ exactly the matrices the at-completion check would.
 
 Every entry is one integer. The alphabet's values are e(x/N) for their
 common order N, so a matrix is a 6x6 array of exponents mod N: products
-are sums and conjugates are negations. The census runs on that form
-throughout and builds ``Matrix6`` only for the matrices it returns and
-for the few distinct canonical forms that certificates compare.
+are sums and conjugates are negations. That is also how an exact
+``Matrix6`` stores its entries, so the census runs on exponents
+throughout: each returned matrix is built from exponent rows shared
+with the other matrices that use them, with no entry re-validated, and
+the class representatives it labels are compared on exponents too.
 
 Two rows are orthogonal when their six entry quotients sum to zero. One
 cyclotomic reduction matrix decides every such sum: its columns, packed
@@ -32,18 +34,18 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .exactnum import UnitValue, _cyclo, _reduce
+from .exactnum import UnitValue, _reduction_words
 from .equivalence import (
     canonical_exponents,
     complex_equivalent,
     dephased_exponents,
-    exponent_matrix,
 )
-from .matrices import Matrix6, catalog
+from .matrices import Matrix6, _exact, _exponent, _hadamard, catalog
 
 logger = logging.getLogger(__name__)
 
@@ -105,50 +107,12 @@ class CensusReport:
     budget: Optional[int]
 
 
+@lru_cache(maxsize=None)
 def _row_space(k: int) -> np.ndarray:
-    rows = np.array(
-        list(itertools.product(range(k), repeat=6)), dtype=np.int64
-    )
+    """All k**6 rows of letter indices, lexicographic; read-only."""
+    rows = np.array(list(itertools.product(range(k), repeat=6)), dtype=np.int64)
+    rows.setflags(write=False)
     return rows
-
-
-def _reduction_words(order: int) -> np.ndarray:
-    """The cyclotomic reduction of every z^e, packed into int64 words.
-
-    Column e of the reduction matrix holds z^e on the power basis of the
-    order-th cyclotomic field, the basis of ``CycSum``, so a sum of
-    order-th roots of unity is zero exactly when the sum of their
-    columns is. A sum of at most six columns has coordinates within
-    +-6c, where c bounds the matrix entries; as balanced digits of radix
-    12c + 1 they pack into words below 2**62, and a packed sum is zero
-    exactly when every coordinate it packs is. The result has one row
-    per word and one column per exponent.
-    """
-    deg = len(_cyclo(order)) - 1
-    reduction = np.zeros((deg, order), dtype=np.int64)
-    for e in range(order):
-        vec = [0] * order
-        vec[e] = 1
-        reduction[:, e] = _reduce(order, vec)
-    radix = 12 * int(np.abs(reduction).max()) + 1
-    per_word = 1
-    while radix ** (per_word + 1) < 2**62:
-        per_word += 1
-    return np.array(
-        [
-            radix ** np.arange(len(digits), dtype=np.int64) @ digits
-            for digits in np.split(reduction, range(per_word, deg, per_word))
-        ]
-    )
-
-
-def _vanishing(words: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """Whether each sum of at most six z^e over the last axis is zero.
-
-    Exponents may lie anywhere in (-order, order): numpy's negative
-    indices wrap them mod order.
-    """
-    return (words[:, exps].sum(axis=-1) == 0).all(axis=0)
 
 
 def _kronecker_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,18 +152,15 @@ def _orthogonality_masks(exps, words):
     return masks
 
 
-def _hadamard(words: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Batched ``is_chm``: whether all 15 row pairs of each matrix vanish."""
-    first, second = zip(*itertools.combinations(range(6), 2))
-    return _vanishing(words, e[:, first, :] - e[:, second, :]).all(axis=1)
-
-
-def _column_steps(rows: np.ndarray):
-    """Per row, bitmasks of adjacent column pairs it orders (<) or breaks (>)."""
+@lru_cache(maxsize=None)
+def _column_steps(k: int) -> tuple:
+    """Per row of the k-letter row space, bitmasks of the adjacent column
+    pairs it orders (<) or breaks (>), as two tuples."""
+    rows = _row_space(k)
     bit = 1 << np.arange(5, dtype=np.int64)
     lt = ((rows[:, :5] < rows[:, 1:]) * bit).sum(axis=1)
     gt = ((rows[:, :5] > rows[:, 1:]) * bit).sum(axis=1)
-    return lt.tolist(), gt.tolist()
+    return tuple(lt.tolist()), tuple(gt.tolist())
 
 
 def _search(masks, lt, gt, limit: Optional[int]):
@@ -264,8 +225,8 @@ def enumerate_chms(
     exponent mod N, so products are sums and conjugates negations. It
     builds the orthogonality masks of the row space, searches them,
     re-checks every emitted matrix from its entries, and groups the
-    matrices by their sorted canonical forms; only the returned
-    matrices and the distinct forms become ``Matrix6``.
+    matrices by their sorted canonical forms. The returned matrices are
+    ``Matrix6`` built straight from the exponent rows they share.
 
     ``budget`` caps the number of search nodes (default one billion,
     far above anything a 4-value alphabet needs); exceeding it yields a
@@ -278,24 +239,37 @@ def enumerate_chms(
     t0 = time.perf_counter()
     values = alphabet.values
     order = math.lcm(*(v.turn.denominator for v in values))
-    exps = np.array([int(v.turn * order) for v in values], dtype=np.int64)
+    # int16 holds every exponent sum the census forms, which stay within
+    # +-2 * order (words exist only up to ORDER_CAP = 5040), and makes the
+    # dephased forms that key the class grouping four times shorter.
+    exps = np.array([_exponent(v, order) for v in values], dtype=np.int16)
     words = _reduction_words(order)
     rows = _row_space(len(values))
     masks = _orthogonality_masks(exps, words)
     if column_reduction:
-        lt, gt = _column_steps(rows)
+        lt, gt = _column_steps(len(values))
     else:
-        lt = gt = [0] * len(rows)
+        lt = gt = (0,) * len(rows)
     found, nodes, incomplete = _search(masks, lt, gt, budget)
 
     selections = np.fromiter(
         itertools.chain.from_iterable(found), dtype=np.int64, count=6 * len(found)
     ).reshape(-1, 6)
-    used = np.unique(selections).tolist()
-    row_values = {r: tuple(values[c] for c in rows[r].tolist()) for r in used}
-    matrices = tuple(Matrix6(map(row_values.__getitem__, sel)) for sel in found)
+    del found
+    # A matrix whose entries all lie in a smaller group of roots has the
+    # reduced order order // step, step the gcd of order and its exponents.
+    row_exps = exps[rows]
+    row_step = np.gcd(np.gcd.reduce(row_exps, axis=1), order)
+    steps = np.full(len(selections), order)
+    for column in selections.T:
+        steps = np.gcd(steps, row_step[column])
+    shared = {
+        step: tuple(tuple(row) for row in (row_exps // step).tolist())
+        for step in np.unique(steps).tolist()
+    }
+    matrices = tuple(_built(order, steps, selections, shared))
     batches = (
-        exps[rows[selections[lo:lo + _BATCH]]]
+        row_exps[selections[lo:lo + _BATCH]]
         for lo in range(0, len(selections), _BATCH)
     )
     reps, membership = _group_classes(order, batches, words)
@@ -314,8 +288,24 @@ def enumerate_chms(
     )
 
 
+def _built(order, steps, selections, shared):
+    """The census's matrices, one per row selection, in order.
+
+    ``shared[step]`` holds the exponent rows of the whole row space over
+    order // step, so the matrices share their row tuples. Selections are
+    read a batch at a time, which keeps the Python lists small.
+    """
+    for lo in range(0, len(selections), _BATCH):
+        hi = lo + _BATCH
+        for step, (a, b, c, d, e, f) in zip(
+            steps[lo:hi].tolist(), selections[lo:hi].tolist()
+        ):
+            t = shared[step]
+            yield _exact(order // step, (t[a], t[b], t[c], t[d], t[e], t[f]))
+
+
 def _group_classes(order, batches, words):
-    """Partition matrices, given as batches of exponent arrays, into classes.
+    """Partition matrices, given as batches of int16 exponent arrays, into classes.
 
     Matrices with equal dephased forms share a canonical form, computed
     once per dephased form. Dephasing scales rows and columns by unit
@@ -341,7 +331,7 @@ def _group_classes(order, batches, words):
                 form_of_dephased[key] = form_of.setdefault(form.tobytes(), len(form_of))
         form_index.extend(map(form_of_dephased.__getitem__, keys))
     distinct_forms = [
-        exponent_matrix(order, np.frombuffer(f, dtype=np.int64).reshape(6, 6))
+        Matrix6.from_exponents(order, np.frombuffer(f, dtype=np.int16).reshape(6, 6))
         for f in form_of
     ]
     # form index -> class index via pairwise certificates on the forms

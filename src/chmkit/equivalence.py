@@ -2,13 +2,21 @@
 
 Two matrices are equivalent when one is P*A*Q for monomial unitaries P
 and Q (permutation equivalence restricts the phases to 1). The search
-here exploits a dephasing identity: if B = P*A*Q, then the dephased
-form of B equals, up to row and column permutations, the matrix
-obtained from A by anchoring the dephasing at the cell (r, c) that P
-and Q send to the top-left corner. Scanning the 36 anchors with exact
-row and column matching is therefore a complete decision procedure, and
-every hit rebuilds the explicit phases, giving a certificate that
-re-verifies by direct multiplication.
+here exploits a dephasing identity (the normal form of Tadej and
+Zyczkowski, "A concise guide to complex Hadamard matrices", 2006): if
+B = P*A*Q, then the dephased form of B equals, up to row and column
+permutations, the matrix obtained from A by anchoring the dephasing at
+the cell (r, c) that P and Q send to the top-left corner. Scanning the
+36 anchors with exact row and column matching is therefore a complete
+decision procedure, and every hit rebuilds the explicit phases, giving
+a certificate that re-verifies by direct multiplication.
+
+Exact matrices are compared on integer exponents over the common order
+N of both inputs: dephasing, matching, the phases and the certificate
+check are integer sums and comparisons mod N, and only the
+certificate's phases become ``UnitValue``. Float matrices run the same
+search on their entries, within tolerance, and give advisory
+certificates.
 
 A cheap monomial invariant (the multiset of closed quadruple products)
 refutes most inequivalent pairs before any search runs.
@@ -18,14 +26,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .exactnum import UnitValue
-from .matrices import Matrix6, apply_monomial, is_chm
+from .exactnum import ONE, UnitValue
+from .matrices import Matrix6, _unit, apply_monomial, is_chm
 
 
 @dataclass(frozen=True)
@@ -67,16 +76,48 @@ def dephase(m: Matrix6) -> Matrix6:
 
 def _anchored_dephase(m: Matrix6, r: int, c: int) -> Matrix6:
     """Dephasing normalized at cell (r, c) instead of the corner."""
-    anchor = m[r][c]
-    return Matrix6(
+    if m.mode == "exact":
+        return Matrix6.from_exponents(
+            m.order, _dephased_grid(m.order, m.exponents, r, c)
+        )
+    return Matrix6(_dephased_entries(m.rows, r, c))
+
+
+def _dephased_grid(order: int, e, r: int, c: int) -> tuple:
+    """Exponents of the dephasing of ``e`` anchored at (r, c):
+    e[i][j] - e[i][c] - e[r][j] + e[r][c] mod order."""
+    top = [x - e[r][c] for x in e[r]]
+    return tuple(
+        tuple((x - row[c] - t) % order for x, t in zip(row, top)) for row in e
+    )
+
+
+def _dephased_entries(rows, r: int, c: int) -> tuple:
+    """The float counterpart of :func:`_dephased_grid`, on entries."""
+    anchor = rows[r][c]
+    return tuple(
         tuple(
-            m[i][j] * m[i][c].conj() * m[r][j].conj() * anchor for j in range(6)
+            rows[i][j] * rows[i][c].conj() * rows[r][j].conj() * anchor
+            for j in range(6)
         )
         for i in range(6)
     )
 
 
 _PAIRS = tuple(itertools.combinations(range(6), 2))
+_PAIR_FIRST, _PAIR_SECOND = (np.array(x) for x in zip(*_PAIRS))
+
+
+def _quadruple_keys(order: int, e) -> list:
+    """Sorted exponents of the quadruple products, each folded with its
+    conjugate to min(q, order - q); see :func:`fingerprint`."""
+    e = np.array(e, dtype=np.int64)
+    first, second = _PAIR_FIRST, _PAIR_SECOND
+    rows_a, rows_b = first[:, None], second[:, None]
+    q = (
+        e[rows_a, first] + e[rows_b, second] - e[rows_a, second] - e[rows_b, first]
+    ) % order
+    return np.sort(np.minimum(q, order - q), axis=None).tolist()
 
 
 def fingerprint(m: Matrix6) -> tuple:
@@ -90,14 +131,8 @@ def fingerprint(m: Matrix6) -> tuple:
     advisory-only fingerprint.
     """
     if m.mode == "exact":
-        order, e = exponent_form(m)
-        first, second = (np.array(x) for x in zip(*_PAIRS))
-        rows_a, rows_b = first[:, None], second[:, None]
-        q = (
-            e[rows_a, first] + e[rows_b, second] - e[rows_a, second] - e[rows_b, first]
-        ) % order
-        keys = np.sort(np.minimum(q, order - q), axis=None).tolist()
-        turns = {x: Fraction(x, order) for x in set(keys)}
+        keys = _quadruple_keys(m.order, m.exponents)
+        turns = {x: Fraction(x, m.order) for x in set(keys)}
         return tuple(turns[x] for x in keys)
     keys = []
     for i, k in _PAIRS:
@@ -107,12 +142,16 @@ def fingerprint(m: Matrix6) -> tuple:
     return tuple(sorted(keys))
 
 
-def _entries_match(mode: str, a: UnitValue, b: UnitValue) -> bool:
-    return a == b if mode == "exact" else a.isclose(b)
+def _lifted(m: Matrix6, order: int) -> tuple:
+    """The exponents of m over ``order``, a multiple of m's order."""
+    step = order // m.order
+    if step == 1:
+        return m.exponents
+    return tuple(tuple(step * x for x in row) for row in m.exponents)
 
 
-def _column_matchings(mode: str, target: Sequence, source: Sequence, fix0=None):
-    """All bijections tau with source[tau[j]] == target[j].
+def _column_matchings(same, target, source, fix0=None):
+    """All bijections tau with same(source[tau[j]], target[j]).
 
     ``fix0`` pins tau[0] to a given position (the dephasing anchor).
     """
@@ -127,7 +166,7 @@ def _column_matchings(mode: str, target: Sequence, source: Sequence, fix0=None):
             else [p for p in range(6) if p not in used]
         )
         for p in choices:
-            if _entries_match(mode, source[p], target[j]):
+            if same(source[p], target[j]):
                 tau.append(p)
                 used.add(p)
                 yield from extend(j + 1, tau, used)
@@ -135,6 +174,52 @@ def _column_matchings(mode: str, target: Sequence, source: Sequence, fix0=None):
                 used.remove(p)
 
     yield from extend(0, [], set())
+
+
+def _match_rows(same, a, b, tau, row_perm: list) -> Optional[list]:
+    """Extend ``row_perm`` so that row row_perm[i] of ``a``, its columns
+    taken in the order ``tau``, matches row i of ``b``. Each row takes
+    the first unused match; None when some row has none."""
+    used = set(row_perm)
+    for i in range(len(row_perm), 6):
+        target = b[i]
+        hit = next(
+            (
+                u
+                for u in range(6)
+                if u not in used
+                and all(same(a[u][t], x) for t, x in zip(tau, target))
+            ),
+            None,
+        )
+        if hit is None:
+            return None
+        row_perm.append(hit)
+        used.add(hit)
+    return row_perm
+
+
+def _dephased_matchings(same, a, b, dephased):
+    """(r, c, row_perm, col_perm) for every permutation pair that sends
+    the dephasing of ``a`` anchored at (r, c) onto the corner dephasing
+    of ``b``, anchors in row-major order.
+
+    b's dephased row 0 is all ones and matches a's dephased row r by
+    construction, and the anchor forces the column bijection to send
+    position 0 to column c. Every candidate image of b's dephased row 1
+    is tried, the consistent column bijections enumerated, and the
+    remaining rows looked up directly; repeated values make the
+    bijection count small.
+    """
+    b_deph = dephased(b, 0, 0)
+    for r in range(6):
+        for c in range(6):
+            a_deph = dephased(a, r, c)
+            for u1 in sorted(set(range(6)) - {r}):
+                for tau in _column_matchings(same, b_deph[1], a_deph[u1], fix0=c):
+                    row_perm = _match_rows(same, a_deph, b_deph, tau, [r, u1])
+                    if row_perm is not None:
+                        yield r, c, tuple(row_perm), tau
 
 
 def complex_equivalent(
@@ -147,92 +232,58 @@ def complex_equivalent(
     """
     if a.mode != b.mode:
         raise ValueError("cannot compare exact and float matrices")
-    mode = a.mode
     if not (is_chm(a) and is_chm(b)):
         raise ValueError("complex_equivalent requires Hadamard inputs")
-    if mode == "exact" and fingerprint(a) != fingerprint(b):
+    if a.mode == "float":
+        return _float_equivalent(a, b)
+    order = math.lcm(a.order, b.order)
+    ea, eb = _lifted(a, order), _lifted(b, order)
+    if _quadruple_keys(order, ea) != _quadruple_keys(order, eb):
         return None
 
-    b_deph = _anchored_dephase(b, 0, 0)
-    for r in range(6):
-        for c in range(6):
-            a_deph = _anchored_dephase(a, r, c)
-            cert = _match_dephased(mode, a, b, a_deph, b_deph, r, c)
-            if cert is not None:
-                if not cert.verify(a, b):
-                    raise AssertionError(
-                        "equivalence certificate failed re-verification"
-                    )
-                return cert
+    def dephased(e, r, c):
+        return _dephased_grid(order, e, r, c)
+
+    for r, c, row_perm, col_perm in _dephased_matchings(operator.eq, ea, eb, dephased):
+        corner = ea[r][c] - eb[0][0]
+        cert = EquivalenceCertificate(
+            row_perm=row_perm,
+            row_phases=tuple(
+                _unit((eb[i][0] - ea[u][c] + corner) % order, order)
+                for i, u in enumerate(row_perm)
+            ),
+            col_perm=col_perm,
+            col_phases=tuple(
+                _unit((eb[0][j] - ea[r][u]) % order, order)
+                for j, u in enumerate(col_perm)
+            ),
+        )
+        if cert.verify(a, b):
+            return cert
     return None
 
 
-def _match_dephased(mode, a, b, a_deph, b_deph, r, c):
-    # b_deph row 0 is all ones and matches a_deph row r by construction,
-    # and the anchor forces the column bijection to send position 0 to
-    # column c. Try every candidate image for b_deph row 1, enumerate
-    # the consistent column bijections, then look the remaining rows up
-    # directly; repeated values make the bijection count small.
-    for u1 in sorted(set(range(6)) - {r}):
-        for tau in _column_matchings(mode, b_deph[1], a_deph[u1], fix0=c):
-            row_perm = [r, u1]
-            used = {r, u1}
-            ok = True
-            for i in range(2, 6):
-                target = tuple(b_deph[i][j] for j in range(6))
-                hits = [
-                    u
-                    for u in range(6)
-                    if u not in used
-                    and all(
-                        _entries_match(mode, a_deph[u][tau[j]], target[j])
-                        for j in range(6)
-                    )
-                ]
-                if not hits:
-                    ok = False
-                    break
-                row_perm.append(hits[0])
-                used.add(hits[0])
-            if not ok:
-                continue
-            col_perm = list(tau)
-            row_phases = tuple(
-                a[row_perm[i]][c].conj()
-                * b[i][0]
-                * a[r][c]
-                * b[0][0].conj()
-                for i in range(6)
-            )
-            col_phases = tuple(
-                a[r][col_perm[j]].conj() * b[0][j] for j in range(6)
-            )
-            cert = EquivalenceCertificate(
-                row_perm=tuple(row_perm),
-                row_phases=row_phases,
-                col_perm=tuple(col_perm),
-                col_phases=col_phases,
-                advisory=(mode == "float"),
-            )
-            if cert.verify(a, b):
-                return cert
+def _float_equivalent(a: Matrix6, b: Matrix6) -> Optional[EquivalenceCertificate]:
+    """:func:`complex_equivalent` on float matrices, within tolerance."""
+    a_rows, b_rows = a.rows, b.rows
+    for r, c, row_perm, col_perm in _dephased_matchings(
+        UnitValue.isclose, a_rows, b_rows, _dephased_entries
+    ):
+        cert = EquivalenceCertificate(
+            row_perm=row_perm,
+            row_phases=tuple(
+                a_rows[u][c].conj() * b_rows[i][0] * a_rows[r][c] * b_rows[0][0].conj()
+                for i, u in enumerate(row_perm)
+            ),
+            col_perm=col_perm,
+            col_phases=tuple(
+                a_rows[r][u].conj() * b_rows[0][j] for j, u in enumerate(col_perm)
+            ),
+            advisory=True,
+        )
+        if cert.verify(a, b):
+            return cert
     return None
-
-
-def exponent_form(m: Matrix6) -> tuple:
-    """(N, e) with m[i][j] = e(e[i][j] / N) and N the entries' common order."""
-    order = math.lcm(*(v.turn.denominator for row in m.rows for v in row))
-    e = np.array(
-        [[int(v.turn * order) for v in row] for row in m.rows], dtype=np.int64
-    )
-    return order, e
-
-
-def exponent_matrix(order: int, e) -> Matrix6:
-    """The exact matrix with entries e(e[i][j] / order)."""
-    return Matrix6(
-        tuple(UnitValue(Fraction(int(x), order)) for x in row) for row in e
-    )
 
 
 def dephased_exponents(order: int, e: np.ndarray) -> np.ndarray:
@@ -288,9 +339,9 @@ def sorted_canonical_form(m: Matrix6) -> Matrix6:
         raise ValueError("sorted_canonical_form requires an exact matrix")
     if not is_chm(m):
         raise ValueError("sorted_canonical_form requires a Hadamard matrix")
-    order, e = exponent_form(m)
-    form = canonical_exponents(dephased_exponents(order, e[None]))[0]
-    return exponent_matrix(order, form)
+    e = np.array(m.exponents, dtype=np.int64)
+    form = canonical_exponents(dephased_exponents(m.order, e[None]))[0]
+    return Matrix6.from_exponents(m.order, form)
 
 
 def permutation_equivalent(
@@ -303,41 +354,25 @@ def permutation_equivalent(
     """
     if a.mode != "exact" or b.mode != "exact":
         raise ValueError("permutation_equivalent requires exact matrices")
-    ones = (UnitValue(0),) * 6
-
-    def row_key(row):
-        return tuple(sorted(v.turn for v in row))
-
-    a_keys = [row_key(row) for row in a.rows]
-    b_keys = [row_key(row) for row in b.rows]
+    order = math.lcm(a.order, b.order)
+    ea, eb = _lifted(a, order), _lifted(b, order)
+    a_keys = [sorted(row) for row in ea]
+    b_keys = [sorted(row) for row in eb]
     if sorted(a_keys) != sorted(b_keys):
         return None
 
+    ones = (ONE,) * 6
     for u0 in range(6):
         if a_keys[u0] != b_keys[0]:
             continue
-        for tau in _column_matchings("exact", b[0], a[u0]):
-            row_perm = [u0]
-            used = {u0}
-            ok = True
-            for i in range(1, 6):
-                hits = [
-                    u
-                    for u in range(6)
-                    if u not in used
-                    and all(a[u][tau[j]] == b[i][j] for j in range(6))
-                ]
-                if not hits:
-                    ok = False
-                    break
-                row_perm.append(hits[0])
-                used.add(hits[0])
-            if not ok:
+        for tau in _column_matchings(operator.eq, eb[0], ea[u0]):
+            row_perm = _match_rows(operator.eq, ea, eb, tau, [u0])
+            if row_perm is None:
                 continue
             cert = EquivalenceCertificate(
                 row_perm=tuple(row_perm),
                 row_phases=ones,
-                col_perm=tuple(tau),
+                col_perm=tau,
                 col_phases=ones,
             )
             if cert.verify(a, b):

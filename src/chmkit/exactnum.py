@@ -22,6 +22,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
+import numpy as np
 import sympy
 from sympy import Symbol, cyclotomic_poly
 
@@ -190,6 +191,57 @@ def _reduce(order: int, vec: list[int]) -> tuple[int, ...]:
             for j in range(deg):
                 vec[base + j] -= c * div[j]
     return tuple(vec[:deg])
+
+
+@lru_cache(maxsize=None)
+def _reduction_words(order: int) -> np.ndarray:
+    """The cyclotomic reduction of every z^e, packed into int64 words.
+
+    Column e of the reduction matrix holds z^e on the power basis of the
+    order-th cyclotomic field, the basis of ``CycSum``, so a sum of
+    order-th roots of unity is zero exactly when the sum of their
+    columns is. A sum of at most six columns has coordinates within
+    +-6c, where c bounds the matrix entries; as balanced digits of radix
+    12c + 1 they pack into words below 2**62, and a packed sum is zero
+    exactly when every coordinate it packs is. The result has one row
+    per word and one column per exponent; it is built once per order and
+    is read-only.
+    """
+    if order > ORDER_CAP:
+        raise ValueError(f"order overflow: {order} exceeds cap {ORDER_CAP}")
+    div = _cyclo(order)
+    deg = len(div) - 1
+    reduction = np.zeros((deg, order), dtype=np.int64)
+    # z^(e+1) is z^e shifted up one place, with the z^deg it spills
+    # rewritten through the monic cyclotomic polynomial.
+    vec = [1] + [0] * (deg - 1)
+    for e in range(order):
+        reduction[:, e] = vec
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:
+            vec = [v - top * d for v, d in zip(vec, div)]
+    radix = 12 * int(np.abs(reduction).max()) + 1
+    per_word = 1
+    while radix ** (per_word + 1) < 2**62:
+        per_word += 1
+    words = np.array(
+        [
+            radix ** np.arange(len(digits), dtype=np.int64) @ digits
+            for digits in np.split(reduction, range(per_word, deg, per_word))
+        ]
+    )
+    words.setflags(write=False)
+    return words
+
+
+def _vanishing(words: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Whether each sum of at most six z^e over the last axis is zero.
+
+    Exponents may lie anywhere in (-order, order): numpy's negative
+    indices wrap them mod order.
+    """
+    return (words[:, exps].sum(axis=-1) == 0).all(axis=0)
 
 
 class CycSum:

@@ -1,7 +1,15 @@
 """Order-6 matrices with unit-modulus entries and their structural scans.
 
-The central type is :class:`Matrix6`, an immutable 6x6 array of
-:class:`~chmkit.exactnum.UnitValue` entries, all exact or all float.
+The central type is :class:`Matrix6`, an immutable 6x6 matrix of
+unimodular entries, all exact or all float. An exact matrix is its
+entries' common order N and a 6x6 grid of integer exponents in
+range(N), entry (i, j) being e(exponent / N): products are sums of
+exponents and conjugates are negations, so the exact paths (the
+Hadamard predicate, monomial images, dephasing and the equivalence
+search) run on integers. Its :class:`~chmkit.exactnum.UnitValue`
+entries are built only when asked for. A float matrix holds its
+``UnitValue`` entries and stays an advisory path.
+
 On top of it live the Hadamard predicate, scans for the structural
 features that drive the classification machinery (rank-one 2x3 slices,
 3x3 Hadamard submatrices, the one-flat-row pattern), block-reducibility
@@ -14,8 +22,14 @@ Rows and columns are 0-based internally; everything user-facing
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Literal, Optional, Sequence
+
+import numpy as np
 
 from .exactnum import (
     I_UNIT,
@@ -25,6 +39,8 @@ from .exactnum import (
     ONE,
     TOL,
     UnitValue,
+    _reduction_words,
+    _vanishing,
     root_of_unity,
     unit_sum,
 )
@@ -35,15 +51,30 @@ NO_VERDICT = "NoVerdict"
 _PATTERN_MULTISET = (ONE, ONE, OMEGA, OMEGA, OMEGA2, OMEGA2)
 
 
+def _exponent(v: UnitValue, order: int) -> int:
+    """x with v = e(x / order), for an order that v's order divides."""
+    return v.turn.numerator * (order // v.turn.denominator)
+
+
+@lru_cache(maxsize=1 << 14)
+def _unit(x: int, order: int) -> UnitValue:
+    """e(x / order), one shared instance per argument pair."""
+    return UnitValue(Fraction(x, order))
+
+
 class Matrix6:
     """Immutable 6x6 matrix of unimodular entries, exact or float mode.
 
     Mixing exact and float entries in one matrix is rejected: the two
     modes have different equality semantics and silently coercing one
     into the other would corrupt certificates.
+
+    An exact matrix stores its order, reduced to the lcm of its entries'
+    orders, and its exponents; equal entries therefore give equal
+    matrices and equal hashes, whatever order they were built with.
     """
 
-    __slots__ = ("_rows", "_mode")
+    __slots__ = ("_order", "_exps", "_entries")
 
     def __init__(self, rows: Iterable[Iterable[UnitValue]]):
         grid = tuple(map(tuple, rows))
@@ -55,43 +86,114 @@ class Matrix6:
         exact = len([v for v in flat if v.turn is not None])
         if exact not in (0, 36):
             raise ValueError("cannot mix exact and float entries in one matrix")
-        object.__setattr__(self, "_rows", grid)
-        object.__setattr__(self, "_mode", "exact" if exact == 36 else "float")
+        order = exps = None
+        if exact:
+            order = math.lcm(*(v.turn.denominator for v in flat))
+            exps = tuple(tuple(_exponent(v, order) for v in row) for row in grid)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_exps", exps)
+        object.__setattr__(self, "_entries", grid)
+
+    @classmethod
+    def from_exponents(cls, order: int, exps) -> "Matrix6":
+        """The exact matrix with entries e(exps[i][j] / order).
+
+        Exponents are taken mod ``order``, and the order is reduced to
+        the lcm of the entries' orders.
+        """
+        order = operator.index(order)
+        if order < 1:
+            raise ValueError("order must be a positive integer")
+        grid = tuple(tuple(operator.index(x) % order for x in row) for row in exps)
+        if list(map(len, grid)) != [6] * 6:
+            raise ValueError("Matrix6 requires exactly 6 rows of 6 entries")
+        step = math.gcd(order, *itertools.chain.from_iterable(grid))
+        if step > 1:
+            order //= step
+            grid = tuple(tuple(x // step for x in row) for row in grid)
+        return _exact(order, grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix6 is immutable")
 
     @property
     def mode(self) -> Literal["exact", "float"]:
-        return self._mode
+        return "float" if self._order is None else "exact"
+
+    @property
+    def order(self) -> int:
+        """The least N with every entry an N-th root of unity."""
+        if self._order is None:
+            raise ValueError("float-mode matrix has no exact order")
+        return self._order
+
+    @property
+    def exponents(self) -> tuple:
+        """Rows of exponents x in range(order), entry e(x / order)."""
+        if self._order is None:
+            raise ValueError("float-mode matrix has no exponents")
+        return self._exps
 
     @property
     def rows(self) -> tuple:
-        return self._rows
+        if self._entries is None:
+            order = self._order
+            entries = tuple(
+                tuple(_unit(x, order) for x in row) for row in self._exps
+            )
+            object.__setattr__(self, "_entries", entries)
+        return self._entries
 
     def __getitem__(self, i: int):
-        return self._rows[i]
+        return self.rows[i]
 
     def column(self, j: int) -> tuple:
-        return tuple(self._rows[i][j] for i in range(6))
+        return tuple(row[j] for row in self.rows)
 
     def transpose(self) -> "Matrix6":
-        return Matrix6(zip(*self._rows))
+        if self._order is None:
+            return Matrix6(zip(*self._entries))
+        return _exact(self._order, tuple(zip(*self._exps)))
 
     def conj(self) -> "Matrix6":
-        return Matrix6(tuple(v.conj() for v in row) for row in self._rows)
+        if self._order is None:
+            return Matrix6(tuple(v.conj() for v in row) for row in self._entries)
+        n = self._order
+        return _exact(n, tuple(tuple(-x % n for x in row) for row in self._exps))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix6) and self._rows == other._rows
+        if not isinstance(other, Matrix6) or self._order != other._order:
+            return False
+        if self._order is None:
+            return self._entries == other._entries
+        return self._exps == other._exps
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        if self._order is None:
+            return hash(self._entries)
+        return hash((self._order, self._exps))
 
     def __str__(self) -> str:
-        return "\n".join(" ".join(str(v).rjust(8) for v in row) for row in self._rows)
+        return "\n".join(" ".join(str(v).rjust(8) for v in row) for row in self.rows)
 
     def __repr__(self) -> str:
-        return f"Matrix6(mode={self._mode})"
+        return f"Matrix6(mode={self.mode})"
+
+
+_set_order = Matrix6._order.__set__
+_set_exps = Matrix6._exps.__set__
+_set_entries = Matrix6._entries.__set__
+
+
+def _exact(order: int, exps: tuple) -> Matrix6:
+    """Trusted constructor: ``order`` reduced, ``exps`` six tuples of six
+    ints in range(order). The census builds its matrices this way, from
+    row tuples they share; the slot setters skip ``__setattr__``."""
+    m = object.__new__(Matrix6)
+    _set_order(m, order)
+    _set_exps(m, exps)
+    _set_entries(m, None)
+    return m
 
 
 @dataclass(frozen=True)
@@ -160,12 +262,26 @@ def _pair_orthogonal(m: Matrix6, i: int, j: int, cols: Sequence[int] = range(6))
     return abs(sum(t.as_complex() for t in terms)) < TOL
 
 
+_FIRST, _SECOND = (list(x) for x in zip(*itertools.combinations(range(6), 2)))
+
+
+def _hadamard(words: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Batched ``is_chm`` on exponents: whether all 15 row pairs of each
+    matrix of ``e``, shape (M, 6, 6), are orthogonal."""
+    return _vanishing(words, e[:, _FIRST, :] - e[:, _SECOND, :]).all(axis=1)
+
+
 def is_chm(m: Matrix6) -> bool:
     """True iff all 15 unordered row pairs are orthogonal.
 
     Unimodular entries plus row orthogonality already force
     M M* = 6 I, so column orthogonality never needs a separate pass.
+    Exact matrices are decided on their exponents by the cyclotomic
+    reduction words the census uses.
     """
+    if m.mode == "exact":
+        e = np.array(m.exponents, dtype=np.int64)
+        return bool(_hadamard(_reduction_words(m.order), e[None])[0])
     return all(
         _pair_orthogonal(m, i, j) for i in range(6) for j in range(i + 1, 6)
     )
@@ -367,6 +483,22 @@ def apply_monomial(
     """
     if sorted(row_perm) != list(range(6)) or sorted(col_perm) != list(range(6)):
         raise ValueError("row_perm and col_perm must be permutations of range(6)")
+    phases = (*row_phases, *col_phases)
+    if m.mode == "exact" and all(
+        isinstance(v, UnitValue) and v.is_exact for v in phases
+    ):
+        order = math.lcm(m.order, *(v.turn.denominator for v in phases))
+        lift = order // m.order
+        e = m.exponents
+        rows = [_exponent(v, order) for v in row_phases]
+        cols = [_exponent(v, order) for v in col_phases]
+        return Matrix6.from_exponents(
+            order,
+            [
+                [rows[i] + cols[j] + lift * e[row_perm[i]][col_perm[j]] for j in range(6)]
+                for i in range(6)
+            ],
+        )
     return Matrix6(
         tuple(
             row_phases[i] * col_phases[j] * m[row_perm[i]][col_perm[j]]
@@ -457,15 +589,22 @@ def catalog(
         return _catalog_hab(alpha, beta)
     if alpha is not None or beta is not None:
         raise ValueError(f"catalog name {name!r} takes no parameters")
+    if name not in CATALOG_NAMES:
+        raise ValueError(f"unknown catalog name {name!r}")
+    return _named(name)
+
+
+CATALOG_NAMES = ("S6_0", "S6_1", "H1", "F6")
+
+
+@lru_cache(maxsize=None)
+def _named(name: str) -> Matrix6:
+    """A parameter-free catalog matrix, built on first use and shared:
+    matrices are immutable."""
     builders = {
         "S6_0": _catalog_s6_0,
         "S6_1": _catalog_s6_1,
         "H1": _catalog_h1,
         "F6": _catalog_f6,
     }
-    if name not in builders:
-        raise ValueError(f"unknown catalog name {name!r}")
     return builders[name]()
-
-
-CATALOG_NAMES = ("S6_0", "S6_1", "H1", "F6")

@@ -5,6 +5,7 @@ canonical forms) is compared with the straightforward ``UnitValue``
 versions it replaced, kept here as references.
 """
 
+import fractions
 import itertools
 import logging
 import math
@@ -19,21 +20,25 @@ from chmkit.census import (
     S6_0_CLASS,
     Alphabet,
     CensusReport,
-    _hadamard,
     _orthogonality_masks,
-    _reduction_words,
-    _vanishing,
     classify_census,
     enumerate_chms,
 )
 from chmkit.equivalence import (
     canonical_exponents,
+    complex_equivalent,
     dephase,
     dephased_exponents,
     sorted_canonical_form,
 )
-from chmkit.exactnum import UnitValue, root_of_unity, unit_sum
-from chmkit.matrices import Matrix6, catalog, is_chm
+from chmkit.exactnum import (
+    UnitValue,
+    _reduction_words,
+    _vanishing,
+    root_of_unity,
+    unit_sum,
+)
+from chmkit.matrices import Matrix6, _hadamard, apply_monomial, catalog, is_chm
 
 
 def alphabet(order, exps):
@@ -130,6 +135,48 @@ def test_cube_and_minus_one_is_one_s6_0_class(cube_report):
     assert report.class_labels == (S6_0_CLASS,)
     # -1 adds 87 matrices; the cube alphabet's 5422 are all among them.
     assert set(cube_report.matrices) <= set(report.matrices)
+
+
+def test_four_letter_census_runs_end_to_end():
+    report = enumerate_chms(alphabet(4, (0, 1, 2, 3)))  # {1, -1, i, -i}
+    assert report.raw_count == 535544
+    assert report.node_count == 1591634
+    assert not report.incomplete
+    assert classify_census(report).class_labels == (H1_CLASS,)
+
+
+def test_exact_paths_construct_no_fraction(monkeypatch):
+    # A certificate's UnitValue phases are built once per exponent and
+    # order and then shared, so one warm-up pass of each check fills
+    # what the counted pass may reuse.
+    cube = alphabet(3, (0, 1, 2))
+    s60 = catalog("S6_0")
+    image = apply_monomial(
+        s60, (3, 0, 5, 1, 4, 2), [root_of_unity(k, 12) for k in (1, 5, 0, 7, 3, 11)],
+        (2, 4, 0, 1, 5, 3), [root_of_unity(k, 12) for k in (6, 2, 9, 4, 0, 8)],
+    )
+    checks = (
+        lambda: classify_census(enumerate_chms(cube)).class_labels == (S6_0_CLASS,),
+        lambda: complex_equivalent(image, s60) is not None,
+    )
+    made = []
+    original = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    for check in checks:
+        assert check()
+        monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+        assert check()
+        monkeypatch.undo()
+        assert made == []
+    # the counter does see the Fraction route
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    assert (s60[1][2] * s60[2][1]).turn == fractions.Fraction(2, 3)
+    monkeypatch.undo()
+    assert made
 
 
 def test_every_emitted_matrix_is_hadamard(h1_report):

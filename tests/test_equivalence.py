@@ -6,6 +6,7 @@ import random
 import pytest
 
 from chmkit import equivalence
+from chmkit.census import Alphabet, enumerate_chms
 from chmkit.equivalence import (
     EquivalenceCertificate,
     _anchored_dephase,
@@ -39,6 +40,129 @@ S60 = catalog("S6_0")
 S61 = catalog("S6_1")
 H1 = catalog("H1")
 F6 = catalog("F6")
+HAB = catalog("HAB", alpha=root_of_unity(1, 5), beta=root_of_unity(1, 7))
+
+
+# --- the Fraction route the exponent search replaced, kept as reference ----
+
+
+def reference_fingerprint(m):
+    """Quadruple products taken on UnitValue entries, folded with their
+    conjugates, as turns."""
+    keys = []
+    for i, k in itertools.combinations(range(6), 2):
+        for j, l in itertools.combinations(range(6), 2):
+            q = m[i][j] * m[k][l] * m[i][l].conj() * m[k][j].conj()
+            keys.append(min(q.turn, (1 - q.turn) % 1))
+    return tuple(sorted(keys))
+
+
+def reference_complex_equivalent(a, b):
+    """Exact complex equivalence on UnitValue entries: anchored dephasing,
+    row and column matching and the certificate phases all multiply
+    Fraction turns."""
+    if reference_fingerprint(a) != reference_fingerprint(b):
+        return None
+    a_rows, b_rows = a.rows, b.rows
+
+    def dephased(rows, r, c):
+        return [
+            [rows[i][j] * rows[i][c].conj() * rows[r][j].conj() * rows[r][c] for j in range(6)]
+            for i in range(6)
+        ]
+
+    def matchings(target, source, fix0):
+        def extend(j, tau, used):
+            if j == 6:
+                yield tuple(tau)
+                return
+            for p in [fix0] if j == 0 else [p for p in range(6) if p not in used]:
+                if source[p] == target[j]:
+                    yield from extend(j + 1, tau + [p], used | {p})
+
+        yield from extend(0, [], set())
+
+    b_deph = dephased(b_rows, 0, 0)
+    for r in range(6):
+        for c in range(6):
+            a_deph = dephased(a_rows, r, c)
+            for u1 in sorted(set(range(6)) - {r}):
+                for tau in matchings(b_deph[1], a_deph[u1], c):
+                    row_perm = [r, u1]
+                    for i in range(2, 6):
+                        hits = [
+                            u for u in range(6)
+                            if u not in row_perm
+                            and all(a_deph[u][tau[j]] == b_deph[i][j] for j in range(6))
+                        ]
+                        if not hits:
+                            break
+                        row_perm.append(hits[0])
+                    else:
+                        row_phases = tuple(
+                            a_rows[row_perm[i]][c].conj() * b_rows[i][0] * a_rows[r][c]
+                            * b_rows[0][0].conj()
+                            for i in range(6)
+                        )
+                        col_phases = tuple(
+                            a_rows[r][tau[j]].conj() * b_rows[0][j] for j in range(6)
+                        )
+                        image = [
+                            [row_phases[i] * col_phases[j] * a_rows[row_perm[i]][tau[j]]
+                             for j in range(6)]
+                            for i in range(6)
+                        ]
+                        if image == [list(row) for row in b_rows]:
+                            return (tuple(row_perm), row_phases, tau, col_phases)
+    return None
+
+
+def certificate_fields(cert):
+    if cert is None:
+        return None
+    assert not cert.advisory
+    return (cert.row_perm, cert.row_phases, cert.col_perm, cert.col_phases)
+
+
+def census_class_forms():
+    """The distinct sorted canonical forms of the five benchmark census
+    alphabets that have matrices: {1,-1,i}, {1,i,-i}, {1,w,w2}, {1,-1,-i}
+    and {1,e(1/6),w,-1}."""
+    forms = []
+    for exps in ((0, 3, 6), (0, 3, 9), (0, 4, 8), (0, 6, 9), (0, 2, 4, 6)):
+        report = enumerate_chms(Alphabet.of([root_of_unity(e, 12) for e in exps]))
+        assert report.raw_count > 0
+        forms += sorted(
+            {sorted_canonical_form(m) for m in report.matrices},
+            key=lambda m: [v.turn for row in m.rows for v in row],
+        )
+    return forms
+
+
+class TestCertificateIdentity:
+    """The exponent route gives the certificate the Fraction route gave:
+    the same permutations, the same UnitValue phases, or None for both."""
+
+    def test_census_class_forms_against_the_catalog(self):
+        forms = census_class_forms()
+        assert len(forms) == 11
+        hits = 0
+        for form in forms:
+            for target in (S60, H1):
+                want = reference_complex_equivalent(form, target)
+                assert certificate_fields(complex_equivalent(form, target)) == want
+                hits += want is not None
+        assert hits == len(forms)
+
+    @pytest.mark.parametrize("name", ["S6_0", "S6_1", "H1", "F6", "HAB"])
+    def test_random_monomial_images(self, name):
+        m = HAB if name == "HAB" else catalog(name)
+        rng = random.Random(sum(map(ord, name)))
+        for _ in range(3):
+            image = random_monomial_image(m, rng)
+            for a, b in ((m, image), (image, m), (image, S60), (H1, image)):
+                want = reference_complex_equivalent(a, b)
+                assert certificate_fields(complex_equivalent(a, b)) == want
 
 
 class TestDephase:
@@ -85,19 +209,10 @@ class TestFingerprint:
         assert fingerprint(S61) == fingerprint(S60)
 
     def test_exact_matches_unit_value_products(self):
-        # Reference: the quadruple products taken on UnitValue entries.
-        def reference(m):
-            keys = []
-            for i, k in itertools.combinations(range(6), 2):
-                for j, l in itertools.combinations(range(6), 2):
-                    q = m[i][j] * m[k][l] * m[i][l].conj() * m[k][j].conj()
-                    keys.append(min(q.turn, (1 - q.turn) % 1))
-            return tuple(sorted(keys))
-
         rng = random.Random(5)
         for m in (S60, S61, H1, F6):
             for image in (m, random_monomial_image(m, rng)):
-                assert fingerprint(image) == reference(image)
+                assert fingerprint(image) == reference_fingerprint(image)
 
 
 class TestComplexEquivalent:

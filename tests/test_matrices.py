@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,73 @@ class TestMatrix6:
     def test_modes(self):
         assert S60.mode == "exact"
         assert as_float(S60).mode == "float"
+
+
+class TestExponentForm:
+    """An exact matrix is its reduced order and integer exponents; its
+    UnitValue views must read as they did when entries were stored."""
+
+    @staticmethod
+    def order_twelve():
+        # F6 with its first row turned by i: entries of order 12
+        m = apply_monomial(F6, range(6), (I_UNIT,) + (ONE,) * 5, range(6), (ONE,) * 6)
+        assert m.order == 12
+        return m
+
+    def test_unit_value_and_exponent_constructions_agree(self):
+        m = self.order_twelve()
+        from_units = Matrix6(m.rows)
+        doubled = Matrix6.from_exponents(24, [[2 * x for x in row] for row in m.exponents])
+        wrapped = Matrix6.from_exponents(12, [[x - 12 for x in row] for row in m.exponents])
+        for built in (doubled, wrapped):
+            assert built.order == 12
+            assert built.exponents == from_units.exponents
+            assert built == from_units and hash(built) == hash(from_units)
+        assert len({from_units, doubled, wrapped}) == 1
+
+    def test_reduced_order_sets_equality(self):
+        # S6_0 over 24 with all exponents multiples of 8 is S6_0 itself
+        lifted = Matrix6.from_exponents(24, [[8 * x for x in row] for row in S60.exponents])
+        assert lifted.order == 3
+        assert lifted == S60 and hash(lifted) == hash(S60)
+        assert Matrix6.from_exponents(24, [[x + 1 for x in row] for row in lifted.exponents]) != S60
+
+    def test_views_return_unit_values(self):
+        for m in (S60, H1, HAB, self.order_twelve()):
+            built = Matrix6.from_exponents(m.order, m.exponents)
+            n = m.order
+            want = tuple(
+                tuple(UnitValue(Fraction(x, n)) for x in row) for row in m.exponents
+            )
+            assert built.rows == want == m.rows
+            assert all(type(v) is UnitValue for row in built.rows for v in row)
+            for i in range(6):
+                assert built[i] == want[i]
+                assert built.column(i) == tuple(row[i] for row in want)
+            assert built.transpose().rows == tuple(zip(*want))
+            assert built.conj().rows == tuple(tuple(v.conj() for v in row) for row in want)
+            assert built.transpose() == Matrix6(zip(*want))
+            assert built.conj() == Matrix6(tuple(v.conj() for v in row) for row in want)
+
+    def test_float_matrices_have_no_exponents(self):
+        f = as_float(S60)
+        assert f != S60
+        with pytest.raises(ValueError):
+            f.order
+        with pytest.raises(ValueError):
+            f.exponents
+
+    def test_mixed_rows_rejected(self):
+        rows = [list(row) for row in S60.rows]
+        rows[0][0] = UnitValue.from_float(1.0, 0.0)
+        with pytest.raises(ValueError, match="mix"):
+            Matrix6(rows)
+
+    def test_from_exponents_validates(self):
+        with pytest.raises(ValueError):
+            Matrix6.from_exponents(0, S60.exponents)
+        with pytest.raises(ValueError):
+            Matrix6.from_exponents(3, S60.exponents[:5])
 
 
 class TestCatalog:
