@@ -6,7 +6,10 @@ rows above it. Symmetry is cut down by requiring the row sequence to be
 increasing and the columns to be lexicographically nondecreasing; the
 column condition is enforced incrementally, pruning a branch as soon as
 some adjacent column pair is decided the wrong way, which accepts
-exactly the matrices the at-completion check would.
+exactly the matrices the at-completion check would. The search is
+:func:`cliques`, a clique search on Python-int adjacency bitmasks that
+the residue completion depth runs too, there with the column pruning
+off.
 
 Every entry is one integer. The alphabet's values are e(x/N) for their
 common order N, so a matrix is a 6x6 array of exponents mod N: products
@@ -56,16 +59,9 @@ OTHER_CLASS = "OTHER"
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A sorted tuple of 2..4 distinct exact unimodular values.
-
-    ``conj_product_closed[i]`` records whether multiplying the whole
-    value set by conj(values[i]) lands back inside the set; alphabets
-    closed for every value (value groups like the cube roots) admit
-    much denser orthogonality tables.
-    """
+    """A sorted tuple of 2..4 distinct exact unimodular values."""
 
     values: tuple
-    conj_product_closed: tuple
 
     @classmethod
     def of(cls, values) -> "Alphabet":
@@ -75,11 +71,7 @@ class Alphabet:
         vals = tuple(sorted(set(values), key=lambda v: v.turn))
         if not 2 <= len(vals) <= 4:
             raise ValueError("alphabet needs between 2 and 4 distinct values")
-        vset = set(vals)
-        closed = tuple(
-            all(v.conj() * u in vset for u in vals) for v in vals
-        )
-        return cls(values=vals, conj_product_closed=closed)
+        return cls(values=vals)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(v) for v in self.values) + "}"
@@ -163,23 +155,34 @@ def _column_steps(k: int) -> tuple:
     return tuple(lt.tolist()), tuple(gt.tolist())
 
 
-def _search(masks, lt, gt, limit: Optional[int]):
-    """Depth-first completion of increasing orthogonal row selections.
+def cliques(masks, size, first_rows, lt, gt, limit=None, first=False):
+    """Cliques of ``size`` rows, in increasing index order, by depth-first search.
 
-    The column state is a bitmask of the adjacent column pairs that
-    some row already orders strictly; a row that puts an undecided pair
-    the wrong way round is pruned. Each first row that passes that check
-    is a node, and so is every candidate tried below it; the search
-    stops once the node count passes ``limit``. Returns the selections
-    found, the node count and whether the limit cut it off.
+    Bit j of ``masks[i]`` is set when rows i and j are adjacent. Each
+    clique starts at a row of ``first_rows`` and continues with adjacent
+    rows above it. ``lt`` and ``gt`` give per row the bitmasks of the
+    adjacent column pairs it orders (<) or breaks (>); the column state
+    is the bitmask of pairs some selected row already orders, and a row
+    that breaks an undecided pair is pruned. First rows are not checked
+    against ``gt``. Zero ``lt``/``gt`` turn the pruning off.
+
+    Each first row is a node, and so is every candidate tried below it;
+    the search stops once the node count passes ``limit``, or at the
+    first clique when ``first`` is set. Returns the cliques found as
+    tuples (by first row in the given order, then lexicographically),
+    the node count and whether the limit cut the search off. ``size``
+    must be at least 2.
     """
+    if size < 2:
+        raise ValueError("cliques need at least two rows")
     found = []
     nodes = 0
     limit = math.inf if limit is None else limit
 
     def descend(selection, rest, state):
         # ``rest`` holds the candidates above the last selected row. True
-        # once the limit is passed, which unwinds the whole search.
+        # once the limit is passed or the first clique found, which
+        # unwinds the whole search.
         nonlocal nodes
         while rest:
             low = rest & -rest
@@ -190,8 +193,10 @@ def _search(masks, lt, gt, limit: Optional[int]):
                 return True
             if gt[r] & ~state:
                 continue
-            if len(selection) == 5:
+            if len(selection) == size - 1:
                 found.append((*selection, r))
+                if first:
+                    return True
                 continue
             selection.append(r)
             if descend(selection, rest & masks[r], state | lt[r]):
@@ -199,13 +204,11 @@ def _search(masks, lt, gt, limit: Optional[int]):
             selection.pop()
         return False
 
-    for r in range(len(masks)):
-        if gt[r]:
-            continue
+    for r in first_rows:
         nodes += 1
         if nodes > limit or descend([r], masks[r] >> (r + 1) << (r + 1), lt[r]):
-            return found, nodes, True
-    return found, nodes, False
+            break
+    return found, nodes, nodes > limit
 
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -250,7 +253,8 @@ def enumerate_chms(
         lt, gt = _column_steps(len(values))
     else:
         lt = gt = (0,) * len(rows)
-    found, nodes, incomplete = _search(masks, lt, gt, budget)
+    first_rows = (r for r, breaks in enumerate(gt) if not breaks)
+    found, nodes, incomplete = cliques(masks, 6, first_rows, lt, gt, budget)
 
     selections = np.fromiter(
         itertools.chain.from_iterable(found), dtype=np.int64, count=6 * len(found)

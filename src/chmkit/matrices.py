@@ -256,9 +256,11 @@ def row_inner_product(m: Matrix6, i: int, j: int):
 
 
 def _pair_orthogonal(m: Matrix6, i: int, j: int, cols: Sequence[int] = range(6)) -> bool:
-    terms = [m[i][c] * m[j][c].conj() for c in cols]
     if m.mode == "exact":
-        return unit_sum(terms).is_zero()
+        e = m.exponents
+        diffs = np.array([e[i][c] - e[j][c] for c in cols])
+        return bool(_vanishing(_reduction_words(m.order), diffs))
+    terms = [m[i][c] * m[j][c].conj() for c in cols]
     return abs(sum(t.as_complex() for t in terms)) < TOL
 
 

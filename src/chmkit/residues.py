@@ -17,15 +17,15 @@ mod-7 sum filter, the monochromatic-triangle check behind the
 outward-pointing colour argument, and the pigeonhole repeated-pair
 step that hands off to the rank-1 submatrix lemma.
 
-Both completion searches run on one bitmask kernel. The candidate rows
-are the sorted permutations of the target multisets, and each row gets
-a Python-int mask of the candidates it admits, built in numpy. The
-family is closed under conjugation, which negates residue differences,
-so admissibility is symmetric: a set of pairwise-admissible rows is a
+Both completion searches run on Python-int bitmasks. The candidate
+rows are the sorted permutations of the target multisets, and each row
+gets a mask of the candidates it admits, built in numpy. The family is
+closed under conjugation, which negates residue differences, so
+admissibility is symmetric: a set of pairwise-admissible rows is a
 clique of the admissibility graph, whatever order the rows come in.
 ``complete_rows`` is then one AND over the fixed rows' masks, and
-``completion_depth`` a clique search that adds candidates in
-increasing index order only.
+``completion_depth`` runs the census's clique kernel,
+:func:`~chmkit.census.cliques`, from the zero row.
 
 Completion results are reported as orbit representatives modulo the
 column swaps fixing every given row (entries sorted within blocks of
@@ -44,6 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arrays import STRUCTURES, CountArray
+from .census import cliques
 
 
 class Undefined(KeyError):
@@ -364,40 +365,29 @@ def completion_depth(gmap: GroupMap, target, max_rows: int = 6) -> int:
     a full matrix of order n needs n.
 
     The family is closed under negation, so admissibility is symmetric
-    and a chain is a clique of the admissibility graph: the order of
-    its rows does not matter. The search therefore adds candidates in
-    increasing index order only, starting from the zero row's mask,
-    pruning a branch once its remaining candidates cannot beat the best
-    chain, and stopping as soon as a chain reaches ``max_rows``. A row
-    admits itself only when the all-zero multiset is in the family; then
-    the zero row repeats without end and the depth is ``max_rows``.
+    and a chain is a clique of the admissibility graph on the zero row
+    (index 0) and the candidates: the order of its rows does not
+    matter. The depth is the largest k up to ``max_rows`` for which the
+    census's :func:`~chmkit.census.cliques` finds a k-clique starting
+    at the zero row, trying k = 2, 3, ... in turn: every subset of a
+    clique is one, so the first k without a clique ends the search. A
+    row admits itself only when the all-zero multiset is in the family;
+    then the zero row repeats without end and the depth is ``max_rows``.
     """
     candidates = _candidate_rows(gmap, target)
     zero = (0,) * len(candidates[0])
     fam = _family_closure(gmap, target)
     if zero in fam:
         return max(1, max_rows)
-    *masks, start = _admissibility_masks(
-        gmap, [*candidates, zero], candidates, fam
-    )
-    best = 1
-
-    def grow(size, rest):
-        # ``rest`` holds the candidates above the last added row that
-        # every row so far admits. True once the cap is reached.
-        nonlocal best
-        best = max(best, size)
-        if best >= max_rows:
-            return True
-        while size + rest.bit_count() > best:
-            low = rest & -rest
-            rest ^= low
-            if grow(size + 1, rest & masks[low.bit_length() - 1]):
-                return True
-        return False
-
-    grow(1, start)
-    return best
+    rows = [zero, *candidates]
+    masks = _admissibility_masks(gmap, rows, rows, fam)
+    free = (0,) * len(rows)
+    depth = 1
+    while depth < max_rows:
+        if not cliques(masks, depth + 1, (0,), free, free, first=True)[0]:
+            break
+        depth += 1
+    return depth
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from chmkit.census import (
     CensusReport,
     _orthogonality_masks,
     classify_census,
+    cliques,
     enumerate_chms,
 )
 from chmkit.equivalence import (
@@ -197,6 +198,31 @@ def test_budget_marks_report_incomplete():
     with pytest.raises(ValueError, match="incomplete"):
         classify_census(report)
     assert not enumerate_chms(ONE_MINUS_ONE_I, budget=2816).incomplete
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cliques_match_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    n = rng.randint(12, 20)
+    graph = nx.gnp_random_graph(n, rng.uniform(0.4, 0.7), seed=seed)
+    masks = [sum(1 << j for j in graph[i]) for i in range(n)]
+    free = (0,) * n
+    every = [tuple(sorted(c)) for c in nx.enumerate_all_cliques(graph)]
+    for size in range(2, 6):
+        want = sorted(c for c in every if len(c) == size)
+
+        def search(**options):
+            return cliques(masks, size, range(n), free, free, **options)
+
+        found, nodes, cut = search()
+        assert (found, cut) == (want, False)
+        assert search(first=True)[0] == want[:1]
+        assert search(limit=nodes) == (want, nodes, False)
+        for limit in (0, nodes // 2, nodes - 1):
+            part, used, cut = search(limit=limit)
+            assert (used, cut) == (limit + 1, True)
+            assert part == want[:len(part)]
 
 
 def test_representative_outside_known_classes_is_logged(caplog):

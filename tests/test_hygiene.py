@@ -3,6 +3,10 @@
 import ast
 import importlib
 import pathlib
+import re
+import sys
+
+import pytest
 
 import chmkit
 
@@ -46,6 +50,52 @@ def test_scan_finds_an_unused_import():
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 _READERS = ("src", "tests", "chmbench")
+
+
+def _foreign_imports(tree: ast.Module, allowed: set) -> list:
+    """(line, top-level name) of each absolute import, at any depth, whose
+    top-level name is not in ``allowed``."""
+    foreign = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        foreign += [(node.lineno, n.split(".")[0]) for n in names
+                    if n.split(".")[0] not in allowed]
+    return foreign
+
+
+def _declared_imports() -> set:
+    """chmkit, the standard library and the declared runtime dependencies."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((_ROOT / "pyproject.toml").read_text())["project"]
+    dependencies = {re.match(r"[\w.-]+", d).group().lower().replace("-", "_")
+                    for d in project["dependencies"]}
+    return {"chmkit"} | set(sys.stdlib_module_names) | dependencies
+
+
+def test_imports_are_declared_dependencies():
+    # test-only packages such as networkx stay out of the package
+    allowed = _declared_imports()
+    assert {"numpy", "sympy", "mpmath"} <= allowed and "networkx" not in allowed
+    foreign = {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        found = _foreign_imports(ast.parse(path.read_text()), allowed)
+        if found:
+            foreign[path.name] = found
+    assert foreign == {}
+
+
+def test_scan_finds_an_undeclared_import():
+    tree = ast.parse(
+        "import os.path\nfrom . import census\nfrom numpy import array\n"
+        "def f():\n    import networkx as nx\n"
+        "    from networkx.algorithms import clique\n")
+    assert _foreign_imports(tree, _declared_imports()) == [
+        (5, "networkx"), (6, "networkx")]
 
 
 def _dead_definitions(defining: dict, reading: list) -> list:
