@@ -320,24 +320,32 @@ def scale_matrix(m: Matrix6, s: UnitValue) -> Matrix6:
     return Matrix6(tuple(s * v for v in row) for row in m.rows)
 
 
-def _entries_equal(m: Matrix6, a: UnitValue, b: UnitValue) -> bool:
-    return a == b if m.mode == "exact" else a.isclose(b)
-
-
 def find_rank1_2x3(m: Matrix6) -> Optional[ScanWitness]:
     """First row pair and column triple whose 2x3 slice has rank one.
 
     The slice [x; y] is rank one iff the three ratios x_c / y_c agree,
     which for unimodular entries is the equality of the three products
-    x_c * conj(y_c). Scan order is lexicographic over the 15 row pairs
+    x_c * conj(y_c); on an exact matrix, of the three exponent
+    differences mod N. Scan order is lexicographic over the 15 row pairs
     then the 20 column triples, so the witness is deterministic.
     """
+    if m.mode == "exact":
+        n, e = m.order, m.exponents
+        same = operator.eq
+
+        def products(i, j):
+            return [(x - y) % n for x, y in zip(e[i], e[j])]
+    else:
+        same = UnitValue.isclose
+
+        def products(i, j):
+            return [x * y.conj() for x, y in zip(m[i], m[j])]
+
     for i, j in itertools.combinations(range(6), 2):
+        ratios = products(i, j)
         for cols in itertools.combinations(range(6), 3):
-            ratios = [m[i][c] * m[j][c].conj() for c in cols]
-            if _entries_equal(m, ratios[0], ratios[1]) and _entries_equal(
-                m, ratios[0], ratios[2]
-            ):
+            x, y, z = (ratios[c] for c in cols)
+            if same(x, y) and same(x, z):
                 return ScanWitness(
                     "Rank1_2x3", (i + 1, j + 1), tuple(c + 1 for c in cols)
                 )
@@ -423,20 +431,25 @@ def h2_reducible(m: Matrix6) -> Optional[H2Certificate]:
     reads b11*conj(b21) = -b12*conj(b22). The certificate records the
     monomial normalization of every block and re-verifies from scratch.
     """
+    if m.mode == "exact":
+        # The products as exponents mod 2N, where -1 is N.
+        n, e = m.order, m.exponents
+        twice = [[[2 * (x - y) % (2 * n) for x, y in zip(a, b)] for b in e] for a in e]
+
+        def block_ok(r1, r2, c1, c2):
+            ratios = twice[r1][r2]
+            return ratios[c1] == (ratios[c2] + n) % (2 * n)
+    else:
+        def block_ok(r1, r2, c1, c2):
+            lhs = m[r1][c1] * m[r2][c1].conj()
+            return lhs.isclose(-(m[r1][c2] * m[r2][c2].conj()))
+
     idx = tuple(range(6))
     for row_part in _pair_partitions(idx):
         for col_part in _pair_partitions(idx):
-            ok = True
-            for r1, r2 in row_part:
-                for c1, c2 in col_part:
-                    lhs = m[r1][c1] * m[r2][c1].conj()
-                    rhs = -(m[r1][c2] * m[r2][c2].conj())
-                    if not _entries_equal(m, lhs, rhs):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            if not all(
+                block_ok(r1, r2, c1, c2) for r1, r2 in row_part for c1, c2 in col_part
+            ):
                 continue
             phases = tuple(
                 tuple(

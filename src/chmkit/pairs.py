@@ -3,13 +3,16 @@
 Two row pairs of one candidate matrix impose their inner-product
 equations simultaneously, so the case analysis needs the common zero
 set of two count arrays, not just each one alone. In one variable that
-is a polynomial gcd. In two variables both real parts are linear in the
-three cosines (cos t1, cos t2, cos(t1-t2)); when the two linear forms
-are independent they cut a line, the cosine-compatibility quadric
-(x4 - x2*x3)^2 = (1-x2^2)(1-x3^2) reduces that line to finitely many
-candidates, and each candidate is accepted or rejected exactly against
-both imaginary parts. The verdict is therefore a proof, not a sampling
-claim: NoCommon and SimpleOnlyCommon enumerate every common point.
+set is the unimodular roots of one integer gcd, taken on plain
+coefficient lists by a primitive pseudo-remainder sequence and solved
+by ``solve.solve_unit_circle``. In two variables both real parts are
+linear in the three cosines (cos t1, cos t2, cos(t1-t2)); when the two
+linear forms are independent they cut a line, the cosine-compatibility
+quadric (x4 - x2*x3)^2 = (1-x2^2)(1-x3^2) reduces that line to finitely
+many candidates, and each candidate is accepted or rejected exactly
+against both imaginary parts. The verdict is therefore a proof, not a
+sampling claim: NoCommon and SimpleOnlyCommon enumerate every common
+point.
 
 Every candidate on that line is one real root theta of the quadric
 polynomial in the line parameter, so its coordinates lie in the number
@@ -65,11 +68,11 @@ from .solve import (
     LaurentPoly,
     Relation,
     SolutionSet,
+    _coefficients,
     has_nonsimple_point,
     solve_unit_circle,
 )
 
-_Z = Symbol("z")
 _T = Symbol("t", real=True)
 
 _CONJ_STRUCT = STRUCTURES["CONJ"]
@@ -89,22 +92,58 @@ class UnsupportedPair(NotImplementedError):
 
 
 # --- one-variable pairs -------------------------------------------------
+#
+# Each equation, shifted to a nonzero constant term, is a short integer
+# coefficient list. The gcd of two of them comes from the primitive
+# pseudo-remainder sequence with math.gcd contents (Brown, J. ACM 18,
+# 1971): exact, and no sympy Poly is built. The list is what sympy.gcd
+# over ZZ returns, content and sign included, so solve_unit_circle sees
+# the same polynomial, and its cache the same key. A constant gcd means
+# no common root.
 
 
-def _laurent_to_intpoly(p: LaurentPoly):
-    low = min(e for (e,) in p.coeffs)
-    deg = max(e for (e,) in p.coeffs) - low
-    coeffs = [0] * (deg + 1)
-    for (e,), c in p.coeffs.items():
-        coeffs[deg - (e - low)] = c
-    return sympy.Poly(coeffs, _Z)
+def _primitive(f: list) -> list:
+    c = math.gcd(*f)
+    return [x // c for x in f]
 
 
-def _intpoly_to_laurent(poly, variable: str) -> LaurentPoly:
-    coeffs = {}
-    for monom, c in poly.terms():
-        coeffs[(monom[0],)] = int(c)
-    return LaurentPoly((variable,), coeffs)
+def _pseudo_remainder(f: list, g: list) -> list:
+    """A remainder of lc(g)^k * f by g, leading zeros stripped."""
+    lc, n = g[0], len(g)
+    while len(f) >= n:
+        lead = f[0]
+        head = [lc * x - lead * y for x, y in zip(f[1:n], g[1:])]
+        f = head + [lc * x for x in f[n:]]
+        while f and f[0] == 0:
+            f = f[1:]
+    return f
+
+
+def _int_gcd(pA: LaurentPoly, pB: LaurentPoly) -> list:
+    """gcd over the integers of two nonzero one-variable polynomials.
+
+    Coefficients leading first, as ``sympy.gcd`` over ZZ gives them: the
+    gcd of the two contents times the primitive gcd with a positive
+    leading coefficient, so ``[c]`` when the gcd is a constant. The
+    primitive gcd is the last nonzero term of the primitive
+    pseudo-remainder sequence.
+    """
+    f, g = _coefficients(pA), _coefficients(pB)
+    content = math.gcd(math.gcd(*f), math.gcd(*g))
+    f, g = _primitive(f), _primitive(g)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _pseudo_remainder(f, g)
+        if g:
+            g = _primitive(g)
+    sign = content if f[0] > 0 else -content
+    return [sign * x for x in f]
+
+
+def _intpoly_to_laurent(coeffs: list, variable: str) -> LaurentPoly:
+    deg = len(coeffs) - 1
+    return LaurentPoly((variable,), {(deg - i,): c for i, c in enumerate(coeffs)})
 
 
 def _normalized(p: LaurentPoly) -> LaurentPoly:
@@ -120,9 +159,8 @@ def _common_one_variable(pA: LaurentPoly, pB: LaurentPoly) -> "PairVerdict":
         # one constraint is vacuous, so the common set is the other's
         common = solve_unit_circle(pB if pA.is_zero() else pA)
         return _verdict_from_set(common, method="vacuous-side")
-    g = sympy.gcd(_laurent_to_intpoly(pA), _laurent_to_intpoly(pB))
-    g = sympy.Poly(g, _Z)
-    if g.degree() == 0:
+    g = _int_gcd(pA, pB)
+    if len(g) == 1:
         empty = SolutionSet((), (), complete=True)
         return PairVerdict("NoCommon", common=empty, points=(),
                            witness=None, method="gcd")
@@ -393,9 +431,8 @@ def _substitution_points(group: str, value: int, pA, pB):
     if rA.is_zero() or rB.is_zero():
         shared = solve_unit_circle(rB if rA.is_zero() else rA)
     else:
-        g = sympy.Poly(
-            sympy.gcd(_laurent_to_intpoly(rA), _laurent_to_intpoly(rB)), _Z)
-        if g.degree() == 0:
+        g = _int_gcd(rA, rB)
+        if len(g) == 1:
             return []
         shared = solve_unit_circle(_intpoly_to_laurent(g, "x"))
     points = [_point_from_turns(*rel.point(u.turn)) for u in shared.exact_points]

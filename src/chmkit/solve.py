@@ -219,6 +219,13 @@ def _cos_polynomial(coeffs: list) -> list:
     return [c * (2 ** i) for i, c in enumerate(out)]
 
 
+def _coefficients(p: LaurentPoly) -> list:
+    """Integer coefficients of a nonzero one-variable Laurent polynomial,
+    leading first, shifted so that the constant term is nonzero."""
+    exps = [e for (e,) in p.coeffs]
+    return [p.coeffs.get((e,), 0) for e in range(max(exps), min(exps) - 1, -1)]
+
+
 @lru_cache(maxsize=None)
 def solve_unit_circle(p: LaurentPoly) -> SolutionSet:
     """Every unimodular root of a one-variable Laurent polynomial, exactly.
@@ -236,15 +243,9 @@ def solve_unit_circle(p: LaurentPoly) -> SolutionSet:
         raise ValueError("solve_unit_circle expects a single variable")
     if p.is_zero():
         raise ValueError("identically zero")
-    low = min(e for (e,) in p.coeffs)
-    int_coeffs = {}
-    for (e,), c in p.coeffs.items():
-        int_coeffs[e - low] = c
-    deg = max(int_coeffs)
-    sign = 1 if int_coeffs[deg] > 0 else -1
-    sol = _solve_cleared(
-        tuple(sign * int_coeffs.get(deg - i, 0) for i in range(deg + 1))
-    )
+    coeffs = _coefficients(p)
+    sign = 1 if coeffs[0] > 0 else -1
+    sol = _solve_cleared(tuple(sign * c for c in coeffs))
     _reverify(p, sol)
     return sol
 

@@ -381,6 +381,23 @@ class TestH2:
         cert = h2_reducible(as_float(H1))
         assert cert is not None and cert.verify(as_float(H1))
 
+    def test_exponent_scans_match_float_scans(self):
+        # Exact matrices decide rank one and the H2 blocks on exponents,
+        # float matrices on their entries; both must find the same spot.
+        rng = random.Random(31)
+        mats = [S60, S61, H1, F6, HAB]
+        mats += [random_monomial_image(m, rng) for m in mats for _ in range(2)]
+        certified = 0
+        for m in mats:
+            f = as_float(m)
+            assert find_rank1_2x3(m) == find_rank1_2x3(f)
+            cert, fcert = h2_reducible(m), h2_reducible(f)
+            assert (cert is None) == (fcert is None)
+            if cert is not None:
+                certified += 1
+                assert (cert.row_pairs, cert.col_pairs) == (fcert.row_pairs, fcert.col_pairs)
+        assert certified == 9
+
 
 class TestMub:
     def test_verdicts(self):

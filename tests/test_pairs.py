@@ -123,6 +123,96 @@ def test_one_variable_pairs_never_share_surd_roots():
     assert skipped == 20
 
 
+_X = sympy.Symbol("x")
+
+
+def _sympy_gcd(pA, pB):
+    """The oracle: ``sympy.gcd`` over ZZ of the two polynomials, each
+    shifted so that its lowest exponent is 0, leading coefficient first."""
+    polys = []
+    for p in (pA, pB):
+        low = min(e for (e,) in p.coeffs)
+        polys.append(sympy.Poly(sum(c * _X ** (e - low) for (e,), c in p.coeffs.items()), _X))
+    return [int(c) for c in sympy.Poly(sympy.gcd(*polys), _X).all_coeffs()]
+
+
+def _random_laurent(rng, max_terms=5):
+    while True:
+        low = rng.randint(-4, 2)
+        coeffs = {(low + i,): rng.randint(-5, 5) for i in range(rng.randint(1, max_terms))}
+        p = LaurentPoly(("x",), coeffs)
+        if not p.is_zero():
+            return p
+
+
+def _times(p, q):
+    acc = collections.Counter()
+    for (e,), c in p.coeffs.items():
+        for (f,), d in q.coeffs.items():
+            acc[(e + f,)] += c * d
+    return LaurentPoly(("x",), acc)
+
+
+def test_integer_gcd_matches_sympy_gcd():
+    """``pairs._int_gcd`` returns exactly what ``sympy.gcd`` over ZZ does,
+    content and sign included, on seeded random Laurent polynomials."""
+    rng = random.Random(15)
+    seen = collections.Counter()
+    for i in range(1600):
+        pA, pB = _random_laurent(rng), _random_laurent(rng)
+        case = i % 4
+        if case == 1:  # a shared integer content
+            c = rng.randint(2, 6)
+            pA = _times(pA, LaurentPoly(("x",), {(0,): c * rng.choice((-1, 1))}))
+            pB = _times(pB, LaurentPoly(("x",), {(rng.randint(-2, 2),): c}))
+        elif case == 2:  # a shared polynomial factor
+            h = _random_laurent(rng, max_terms=3)
+            pA, pB = _times(pA, h), _times(pB, h)
+        elif case == 3:  # one side constant
+            pB = LaurentPoly(("x",), {(0,): rng.choice((-6, -4, -3, -2, -1, 1, 2, 3, 4, 6))})
+        if pA.is_zero() or pB.is_zero():
+            continue
+        g = pairs._int_gcd(pA, pB)
+        assert g == _sympy_gcd(pA, pB), (pA, pB)
+        seen[case] += 1
+        seen["content"] += abs(math.gcd(*g)) > 1
+        seen["factor"] += len(g) > 1
+        seen["negative lead"] += pA.coeffs[max(pA.coeffs)] < 0
+        seen["negative exponent"] += min(pA.coeffs) < (0,)
+    for key in (0, 1, 2, 3, "content", "factor", "negative lead", "negative exponent"):
+        assert seen[key] >= 100, seen
+
+
+def test_one_variable_pairs_construct_no_poly(monkeypatch):
+    # One warm-up sweep fills the unit-circle solver's cache for every
+    # gcd; the counted sweep then builds no sympy Poly at all.
+    valid = []
+    for A, B in itertools.combinations(enumerate_count_arrays(CONJ), 2):
+        try:
+            common_solutions(A, B)
+        except ValueError:
+            continue
+        valid.append((A, B))
+    assert len(valid) == 970
+    made = []
+    original = sympy.Poly.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(sympy.Poly, "__new__", counting_new)
+    verdicts = [common_solutions(A, B).method for A, B in valid]
+    monkeypatch.undo()
+    assert made == []
+    assert set(verdicts) == {"gcd"}
+    # the counter does see a Poly built on purpose
+    monkeypatch.setattr(sympy.Poly, "__new__", counting_new)
+    assert sympy.Poly([1, 0, -1], _X).degree() == 2
+    monkeypatch.undo()
+    assert made
+
+
 # --- two-variable pairs: the six-way table -----------------------------------
 
 
