@@ -139,8 +139,7 @@ def _orthogonality_masks(exps, words):
         for half in halves:
             keys = half[high][:, :, None] + half[low][:, None, :]
             hits &= keys.reshape(len(high), n) == 0
-        for packed in np.packbits(hits, axis=1, bitorder="little"):
-            masks.append(int.from_bytes(packed.tobytes(), "little"))
+        masks.extend(bitmasks(hits))
     return masks
 
 
@@ -153,6 +152,18 @@ def _column_steps(k: int) -> tuple:
     lt = ((rows[:, :5] < rows[:, 1:]) * bit).sum(axis=1)
     gt = ((rows[:, :5] > rows[:, 1:]) * bit).sum(axis=1)
     return tuple(lt.tolist()), tuple(gt.tolist())
+
+
+def bitmasks(hits: np.ndarray) -> list:
+    """One Python int per row of a 2-d boolean array: bit j of row i's
+    int is ``hits[i, j]``, the adjacency masks :func:`cliques` reads."""
+    packed = np.packbits(hits, axis=1, bitorder="little")
+    raw = packed.tobytes()
+    size = packed.shape[1]
+    return [
+        int.from_bytes(raw[lo:lo + size], "little")
+        for lo in range(0, len(raw), size)
+    ]
 
 
 def cliques(masks, size, first_rows, lt, gt, limit=None, first=False):

@@ -19,7 +19,11 @@ step that hands off to the rank-1 submatrix lemma.
 
 Both completion searches run on Python-int bitmasks. The candidate
 rows are the sorted permutations of the target multisets, and each row
-gets a mask of the candidates it admits, built in numpy. The family is
+gets a mask of the candidates it admits, built in numpy. A pair of rows
+is tested by the count-vector key of its difference multiset: with w
+columns, the count of each residue d is at most w, so the base-(w+1)
+number sum_d count_d * (w+1)**d names the multiset, and it is a sum of
+one table entry per column, with nothing to sort. The family is
 closed under conjugation, which negates residue differences, so
 admissibility is symmetric: a set of pairwise-admissible rows is a
 clique of the admissibility graph, whatever order the rows come in.
@@ -44,7 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arrays import STRUCTURES, CountArray
-from .census import cliques
+from .census import bitmasks, cliques
 
 
 class Undefined(KeyError):
@@ -284,36 +288,36 @@ def _admissibility_masks(gmap: GroupMap, rows, candidates, fam) -> list:
     """Per row, the bitmask of candidates whose inner product it admits.
 
     Bit j of a row's mask is set when the differences (row -
-    candidates[j]) mod m, sorted, form a multiset of ``fam``. Each
-    sorted difference vector is read as a base-m integer key and looked
-    up among the keys of ``fam``, in row blocks of about 64k pairs and
-    with the narrowest integer types, so that the temporary arrays stay
-    near 1 MB.
+    candidates[j]) mod m form a multiset of ``fam``. A multiset of w
+    residues is fixed by its counts, each at most w, so its count-vector
+    key sum_d count_d * (w+1)**d is equal for two multisets exactly when
+    they are. The key of a difference vector is a sum over its columns
+    of T[x_j, y_j] = (w+1)**((x_j - y_j) mod m), read from one m x m
+    table, so each row block's keys are w gather-and-add steps, with no
+    sort. They are looked up among the keys of ``fam`` in row blocks of
+    about 64k pairs and in the narrowest unsigned type, so that the
+    temporary arrays stay near 1 MB. Raises ValueError when (w+1)**m
+    does not fit in int64.
     """
     m = gmap.modulus
-    dtype = np.min_scalar_type(-m)
-    cand = np.array(candidates, dtype=dtype)
+    cand = np.array(candidates, dtype=np.intp)
     width = cand.shape[1]
-    key_type = np.min_scalar_type(-(m**width))
-
-    def keys(sorted_diffs):
-        out = np.zeros(sorted_diffs.shape[:-1], dtype=key_type)
-        for j in range(width):
-            out *= m
-            out += sorted_diffs[..., j]
-        return out
-
-    fam_keys = keys(np.array(sorted(fam), dtype=dtype))
-    rows = np.array(rows, dtype=dtype)
+    base = width + 1
+    if base**m > np.iinfo(np.int64).max:
+        raise ValueError(f"count keys of width {width} mod {m} overflow int64")
+    key_type = np.min_scalar_type(width * base ** (m - 1))
+    res = np.arange(m)
+    table = (base ** ((res[:, None] - res[None, :]) % m)).astype(key_type)
+    fam_keys = np.array([sum(base**v for v in ms) for ms in fam], dtype=key_type)
+    rows = np.array(rows, dtype=np.intp)
     block = max(1, 65536 // len(cand))
     masks = []
     for lo in range(0, len(rows), block):
-        diff = rows[lo:lo + block, None, :] - cand[None, :, :]
-        diff %= m
-        diff.sort(axis=-1)
-        hits = np.isin(keys(diff), fam_keys)
-        for packed in np.packbits(hits, axis=1, bitorder="little"):
-            masks.append(int.from_bytes(packed.tobytes(), "little"))
+        part = rows[lo:lo + block]
+        keys = np.zeros((len(part), len(cand)), dtype=key_type)
+        for j in range(width):
+            keys += table[part[:, j]][:, cand[:, j]]
+        masks.extend(bitmasks(np.isin(keys, fam_keys)))
     return masks
 
 

@@ -18,6 +18,7 @@ from chmkit.residues import (
     GroupMap,
     PigeonholeWitness,
     Undefined,
+    _admissibility_masks,
     _canonical,
     _family_closure,
     _stabilizer_blocks,
@@ -233,6 +234,16 @@ def test_completion_requires_fixed_rows():
         complete_rows(MOD5, [], [_M1])
 
 
+def test_admissibility_keys_must_fit_int64():
+    """Width-6 count keys mod m are base-7 numbers of m digits: 7**22 fits
+    in int64 and 7**23 does not."""
+    fits = GroupMap(22, "CONJ", ("1",), ((0,),), (0,))
+    assert _admissibility_masks(fits, [_ZERO6], [_ZERO6], {_ZERO6}) == [1]
+    wide = GroupMap(23, "CONJ", ("1",), ((0,),), (0,))
+    with pytest.raises(ValueError):
+        _admissibility_masks(wide, [_ZERO6], [_ZERO6], {_ZERO6})
+
+
 _MOD7_CASES = {
     (0, 1, 2, 2, 3, 6): (
         (1, 6, 0, 2, 2, 3),
@@ -443,15 +454,48 @@ def test_clique_depth_matches_networkx_oracle():
         assert completion_depth(gmap, [image]) == min(want, 6), image
 
 
+def _random_completion_cases(rng, gmap, width):
+    """Seeded complete_rows cases of one width: one to three target
+    multisets, the zero multiset in some, and one to three fixed rows,
+    each a permutation of a target multiset or a row from nowhere."""
+    m = gmap.modulus
+    cases = []
+    for _ in range(4):
+        target = [
+            tuple(sorted(rng.randrange(m) for _ in range(width)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        if rng.random() < 0.3:
+            target.append((0,) * width)
+        fixed = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                fixed.append(tuple(rng.sample(rng.choice(target), width)))
+            else:
+                fixed.append(tuple(rng.randrange(m) for _ in range(width)))
+        cases.append((gmap, fixed, target))
+    return cases
+
+
 def test_complete_rows_matches_scalar_loop():
     cases = [
         (MOD5, [_ZERO6, _M1], [_M1]),
         (MOD5, [_ZERO6, _M1, (3, 3, 4, 1, 2, 2)], [_M1]),
         (MOD5, [_ZERO6, _M2], [_M2]),
+        # differences (1, 1, 1) against the target (0, 0, 2): their counts
+        # agree as base-2 numbers, so a key base below width + 1 admits them
+        (MOD5, [(1, 1, 3)], [(0, 0, 2)]),
+        (MOD7, [(1, 1, 3), (0, 2, 0)], [(0, 0, 2), (1, 1, 1)]),
     ]
     for fixed_row, reps in _MOD7_CASES.items():
         cases.append((MOD7, [_ZERO6, fixed_row], [fixed_row]))
         cases += [(MOD7, [_ZERO6, fixed_row, r], [fixed_row]) for r in reps]
+    rng = random.Random(16)
+    for gmap in (MOD5, MOD7):
+        for width in range(1, 7):
+            cases += _random_completion_cases(rng, gmap, width)
+    assert any(len(fixed) == 1 for _, fixed, _ in cases)
+    assert any((0,) * len(t[0]) in t for _, _, t in cases)
     for gmap, fixed, target in cases:
         assert complete_rows(gmap, fixed, target) == _scalar_complete_rows(
             gmap, fixed, target
