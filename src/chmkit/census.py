@@ -22,12 +22,16 @@ the class representatives it labels are compared on exponents too.
 Two rows are orthogonal when their six entry quotients sum to zero. One
 cyclotomic reduction matrix decides every such sum: its columns, packed
 into integer words, add up to zero exactly when the roots of unity they
-stand for do. The packed sums of all row pairs form the Kronecker sum,
-over the six columns, of the k x k table of packed quotients, so the
-orthogonality masks of the whole row space cost a few numpy sweeps. The
-same words re-check every emitted matrix from its entries, and the
-integer canonicaliser that ``sorted_canonical_form`` uses groups the
-matrices before any certificate search runs.
+stand for do. Split into half-rows of three columns, two rows are
+orthogonal when the packed quotient sum over their last three columns
+is the negation of the one over their first three. Every half-sum and
+every negated half-sum gets one integer code, a small partner table
+marks which half-row pairs have each wanted code, and a blocked gather
+from it writes the orthogonality masks of the whole row space; a row
+with no orthogonal partner keeps mask 0. The same words re-check every
+emitted matrix from its entries, and the integer canonicaliser that
+``sorted_canonical_form`` uses groups the matrices before any
+certificate search runs.
 """
 
 from __future__ import annotations
@@ -115,31 +119,68 @@ def _kronecker_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+# Bytes of boolean mask rows gathered at once: one A (64 rows of 4096)
+# for a 4-letter alphabet, about half the 729 x 729 matrix for three.
+_GATHER_BYTES = 2**18
+
+
+def _codes(values: np.ndarray) -> np.ndarray:
+    """Dense integer codes of a 1-d array: equal values, equal codes."""
+    # ``return_inverse`` is 1-d or shaped like the input depending on the
+    # numpy release; the input is 1-d, and the reshape pins the result.
+    return np.unique(values, return_inverse=True)[1].reshape(-1)
+
+
 def _orthogonality_masks(exps, words):
     """Bitmask of orthogonal partners for every row in the row space.
 
     Rows r and s are orthogonal when the six quotients
-    z^(e[r_j] - e[s_j]) sum to zero. The packed sums of all pairs form
-    the Kronecker sum over the six columns of the k x k table of packed
-    quotients: the sum ``half`` over three columns, then ``half (+)
-    half``, built in row blocks of about 64k entries. A row's sum with
-    itself is six and never vanishes. Quotient exponents lie in
-    (-order, order), and numpy's negative indices wrap them mod order.
+    z^(e[r_j] - e[s_j]) sum to zero. Split the rows into half-rows of
+    three columns, r = (A, B) and s = (C, D), K = k**3 half-rows in
+    all. ``half``, the Kronecker sum over three columns of the k x k
+    table of packed quotients, holds the K x K packed sums of three
+    quotients, and r and s are orthogonal exactly when half[B, D] =
+    -half[A, C] in every word.
+
+    One ``np.unique`` over all half-sums and their negations gives each
+    an integer code; the codes of several words are combined into one.
+    The wanted codes are the negated ones that some half-sum has. The
+    partner table zero[B, u, D] says whether half[B, D] has the u-th
+    wanted code, and idx[A, C] is the position of -half[A, C] among
+    them, or a last slot that matches nothing. The gather
+    zero[B, idx[A, C], D] yields the mask rows in (A, B) x (C, D) order
+    as contiguous runs of K bytes, with no wide temporaries and no
+    transpose. It runs in blocks of A, so a 4-letter alphabet never
+    holds its whole 4096 x 4096 matrix. When no half-sum meets a
+    negated one, every mask is zero.
+
+    A row's sum with itself is six and never vanishes. Quotient
+    exponents lie in (-order, order), and numpy's negative indices wrap
+    them mod order.
     """
     k = len(exps)
-    n = k**6
-    halves = []
+    size = k**3
+    n = size * size
+    code = None
     for table in words[:, exps[:, None] - exps[None, :]]:
-        halves.append(_kronecker_sum(_kronecker_sum(table, table), table))
-    block = max(1, 65536 // n)
+        half = _kronecker_sum(_kronecker_sum(table, table), table).reshape(-1)
+        word = _codes(np.concatenate([half, -half]))
+        code = word if code is None else _codes(code * (word.max() + 1) + word)
+    sums, negated = code[:n].reshape(size, size), code[n:].reshape(size, size)
+    wanted = np.intersect1d(sums, negated)
+    if not len(wanted):
+        return [0] * n
+    slot = np.full(code.max() + 1, len(wanted))
+    slot[wanted] = np.arange(len(wanted))
+    idx = slot[negated]
+    # -1 is no code: the last slot, for an A, C with no partner.
+    zero = sums[:, None, :] == np.append(wanted, -1)[None, :, None]
+    b = np.arange(size)[None, :, None]
+    step = max(1, _GATHER_BYTES // size**3)
     masks = []
-    for lo in range(0, n, block):
-        high, low = np.divmod(np.arange(lo, min(lo + block, n)), k**3)
-        hits = np.ones((len(high), n), dtype=bool)
-        for half in halves:
-            keys = half[high][:, :, None] + half[low][:, None, :]
-            hits &= keys.reshape(len(high), n) == 0
-        masks.extend(bitmasks(hits))
+    for lo in range(0, size, step):
+        hits = zero[b, idx[lo:lo + step, None, :]]
+        masks.extend(bitmasks(hits.reshape(-1, n)))
     return masks
 
 
@@ -156,14 +197,15 @@ def _column_steps(k: int) -> tuple:
 
 def bitmasks(hits: np.ndarray) -> list:
     """One Python int per row of a 2-d boolean array: bit j of row i's
-    int is ``hits[i, j]``, the adjacency masks :func:`cliques` reads."""
+    int is ``hits[i, j]``, the adjacency masks :func:`cliques` reads.
+    Rows with no set bit are left at 0 without building an int."""
     packed = np.packbits(hits, axis=1, bitorder="little")
     raw = packed.tobytes()
     size = packed.shape[1]
-    return [
-        int.from_bytes(raw[lo:lo + size], "little")
-        for lo in range(0, len(raw), size)
-    ]
+    masks = [0] * len(packed)
+    for i in np.flatnonzero(packed.any(axis=1)).tolist():
+        masks[i] = int.from_bytes(raw[i * size:(i + 1) * size], "little")
+    return masks
 
 
 def cliques(masks, size, first_rows, lt, gt, limit=None, first=False):

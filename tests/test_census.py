@@ -10,6 +10,7 @@ import itertools
 import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from chmkit.census import (
     Alphabet,
     CensusReport,
     _orthogonality_masks,
+    bitmasks,
     classify_census,
     cliques,
     enumerate_chms,
@@ -262,14 +264,59 @@ def test_alphabet_rejects_inexact_values(values):
 # --- integer core against the references ----------------------------------
 
 
+def mask_case(alpha, nonzero):
+    return pytest.param(alpha, nonzero, id=str(alpha))
+
+
 @pytest.mark.parametrize(
-    "alpha", [CUBE, ONE_MINUS_ONE_I, SIXTH_W_MINUS_ONE], ids=str
+    "alpha, nonzero",
+    [
+        mask_case(CUBE, 729),
+        mask_case(ONE_MINUS_ONE_I, 729),
+        mask_case(SIXTH_W_MINUS_ONE, 4096),
+        mask_case(alphabet(2, (0, 1)), 64),  # {1, -1}
+        # no half-sum meets a negated one: the all-zero early return
+        mask_case(alphabet(10, (0, 1, 2)), 0),
+        # {1, e(1/105), w}: order 105 packs into four words, whose codes
+        # are combined
+        mask_case(alphabet(105, (0, 1, 35)), 260),
+    ],
 )
-def test_masks_match_reference(alpha):
+def test_masks_match_reference(alpha, nonzero):
     order = math.lcm(*(v.turn.denominator for v in alpha.values))
     exps = np.array([int(v.turn * order) for v in alpha.values], dtype=np.int64)
     masks = _orthogonality_masks(exps, _reduction_words(order))
     assert masks == reference_masks(alpha.values)
+    assert sum(1 for m in masks if m) == nonzero
+
+
+def test_four_letter_masks_are_gathered_in_blocks():
+    # The 4096 x 4096 boolean matrix alone would take 16 MB; the masks
+    # themselves take about 2 MB. The warm call fills the caches.
+    exps = np.array([0, 1, 2, 3], dtype=np.int16)  # {1, i, -1, -i}
+    words = _reduction_words(4)
+    _orthogonality_masks(exps, words)
+    tracemalloc.start()
+    try:
+        _orthogonality_masks(exps, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
+
+
+@pytest.mark.parametrize(
+    "seed, shape", enumerate([(1, 1), (5, 13), (64, 64), (40, 729), (9, 4096)])
+)
+def test_bitmasks_match_per_row_packbits(seed, shape):
+    rng = np.random.default_rng(seed)
+    hits = rng.random(shape) < 0.2
+    hits[::3] = False
+    want = [
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        for row in hits
+    ]
+    assert bitmasks(hits) == want
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 6, 8, 10, 12])
