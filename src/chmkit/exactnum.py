@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import sympy
-from sympy import Symbol, cyclotomic_poly
+from sympy import cyclotomic_poly
 
 TOL = 1e-9
 ORDER_CAP = 5040
@@ -378,9 +378,6 @@ def is_real(s: CycSum) -> bool:
 
 # --- real number fields and points of the torus ----------------------------
 
-_T = Symbol("t", real=True)
-
-
 def as_fraction(q) -> Fraction:
     """A sympy Rational as a Fraction."""
     return Fraction(int(q.p), int(q.q))
@@ -404,7 +401,8 @@ class Field:
     while the enclosure still contains 0 the interval is bisected on
     the sign of m. The enclosure shrinks onto the element's non-zero
     value, so the loop always ends; the refined interval is kept for
-    the next test.
+    the next test. The element's nearest double comes from the same
+    enclosure.
     """
 
     __slots__ = ("minpoly", "lo", "hi", "_lo_positive")
@@ -413,6 +411,9 @@ class Field:
         self.minpoly = tuple(minpoly)
         self.lo, self.hi = lo, hi
         self._lo_positive = _horner(self.minpoly, lo) > 0
+
+    def __repr__(self) -> str:
+        return f"Field({self.minpoly}, {self.lo!r}, {self.hi!r})"
 
     @classmethod
     def of_root(cls, root) -> "Field":
@@ -438,18 +439,16 @@ class Field:
             c.pop()
         return FieldElement(self, tuple(c))
 
-    def sign(self, coeffs) -> int:
-        if not coeffs:
-            return 0
+    def _enclose(self, coeffs, enough) -> tuple:
+        """Bounds (low, high) on the element with these coefficients, by
+        interval Horner on [lo, hi], bisected until ``enough(low, high)``."""
         while True:
             low = high = coeffs[-1]
             for c in reversed(coeffs[:-1]):
                 ends = (low * self.lo, low * self.hi, high * self.lo, high * self.hi)
                 low, high = min(ends) + c, max(ends) + c
-            if low > 0:
-                return 1
-            if high < 0:
-                return -1
+            if enough(low, high):
+                return low, high
             mid = (self.lo + self.hi) / 2
             if (_horner(self.minpoly, mid) > 0) == self._lo_positive:
                 self.lo = mid
@@ -497,30 +496,30 @@ class FieldElement:
         return not self.coeffs
 
     def sign(self) -> int:
-        return self.field.sign(self.coeffs)
+        if not self.coeffs:
+            return 0
+        low, _ = self.field._enclose(self.coeffs, lambda low, high: low > 0 or high < 0)
+        return 1 if low > 0 else -1
+
+    def __float__(self) -> float:
+        """The nearest double. Rounding is monotone, and an irrational
+        element is no tie (a rational one has a constant enclosure)."""
+        if not self.coeffs:
+            return 0.0
+        low, _ = self.field._enclose(self.coeffs, lambda low, high: float(low) == float(high))
+        return float(low)
 
 
 def real_root_fields(poly):
-    """Each distinct real root of the sympy ``poly``, in increasing
-    order, as the pair (sympy root, its field).
+    """The field of each distinct real root of the sympy ``poly``, in
+    increasing order.
 
-    ``real_roots`` lists the roots with multiplicity; without radicals
-    it names the same roots in the same order as a Rational or a
-    ``CRootOf``, which carries the root's irreducible factor.
+    Without radicals ``real_roots`` names each root as a Rational or a
+    ``CRootOf``, which carries the root's irreducible factor; it lists
+    the roots with multiplicity, and equal roots compare equal.
     """
-    previous = None
-    for root, exact in zip(poly.real_roots(), poly.real_roots(radicals=False)):
-        if exact != previous:
-            previous = exact
-            yield root, Field.of_root(exact)
-
-
-def cos_field(cos_minpoly, cos_value) -> Field:
-    """The field of ``cos_value``, a real root of the integer polynomial
-    with ascending coefficients ``cos_minpoly``."""
-    poly = sympy.Poly(list(reversed(cos_minpoly)), _T)
-    return next(field for root, field in real_root_fields(poly)
-                if root == cos_value)
+    for root in dict.fromkeys(poly.real_roots(radicals=False)):
+        yield Field.of_root(root)
 
 
 def in_unit_interval(x: FieldElement) -> bool:
@@ -560,17 +559,22 @@ class CosinePoint:
     need them.
     """
 
-    __slots__ = ("field", "s1", "s2", "r1", "r2", "r12", "_tables", "_products")
+    __slots__ = ("field", "c1", "s1", "c2", "s2", "r1", "r2", "r12",
+                 "_tables", "_products")
 
     def __init__(self, c1: FieldElement, s1: int, c2: FieldElement, s2: int):
         self.field = c1.field
-        self.s1, self.s2 = s1, s2
+        self.c1, self.s1, self.c2, self.s2 = c1, s1, c2, s2
         self.r1, self.r2 = 1 - c1 * c1, 1 - c2 * c2
         self.r12 = self.r1 * self.r2
         one, zero = self.field(1), self.field()
         # per letter, T_n(c) and U_(n-1)(c) at index n
         self._tables = tuple(([one, c], [zero, one]) for c in (c1, c2))
         self._products = {}
+
+    def __repr__(self) -> str:
+        c1, c2 = self.c1.coeffs, self.c2.coeffs
+        return f"CosinePoint({c1}, {self.s1}, {c2}, {self.s2}, {self.field})"
 
     def _power(self, letter: int, j: int):
         """cos(j*t) and sin(j*t)/sin(t) at the angle t of one letter."""

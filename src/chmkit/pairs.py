@@ -24,6 +24,11 @@ vanishes there. The same test against the equations x - s*y^k of
 No verdict rests on a numeric cut-off: the float re-evaluation of each
 common point at 1e-9 only guards against a bug, and raises if it fails.
 
+A ``CommonPoint`` is its pair of turns when both letters are roots of
+unity, and otherwise a ``CosinePoint``; the substitution routes reuse
+the fields of ``solve.AlgebraicPoint``s. Sine signs and float angles
+are read off the point, and no cosine is written out in sympy.
+
 real_part_system exposes the line-meets-quadric elimination for the
 recurring special family where one equation reduces to x_j + 2*x_k = 0
 and the other spreads the coefficients {1,1,2,2} over a constant and
@@ -45,7 +50,7 @@ from fractions import Fraction
 from typing import Optional
 
 import sympy
-from sympy import Rational, Symbol
+from sympy import Symbol
 
 from .arrays import (
     STRUCTURES,
@@ -57,10 +62,8 @@ from .exactnum import (
     SIMPLE_VALUES,
     CosinePoint,
     as_fraction,
-    cos_field,
     in_unit_interval,
     real_root_fields,
-    root_of_unity,
     sqrt_sum_vanishes,
 )
 from .solve import (
@@ -76,7 +79,6 @@ from .solve import (
 _T = Symbol("t", real=True)
 
 _CONJ_STRUCT = STRUCTURES["CONJ"]
-_GENERIC_STRUCT = STRUCTURES["GENERIC"]
 
 # The cosines of the eight simple values: -1, -1/2, 0, 1/2, 1. Twice
 # each is an integer, so rounding the float reads it exactly, and
@@ -214,26 +216,39 @@ def _real_linear(p: LaurentPoly):
 class CommonPoint:
     """One exact common solution of a two-variable pair.
 
-    Cosines are exact sympy numbers; the sign slots give the sign of
-    each sine, 0 when the sine vanishes. ``thetas`` is the float
-    witness angle pair.
+    ``point`` is the pair of turns (t_a, t_b), as Fractions, when both
+    letters are roots of unity, and otherwise a ``CosinePoint``.
+    ``simple`` says whether it lies on one of the ten settled relations.
+    The signs of the sines, 0 when a sine vanishes, and ``thetas``, the
+    float witness angle pair in [0, 2*pi), are read off the point.
     """
 
-    cos_a: object
-    sign_a: int
-    cos_b: object
-    sign_b: int
+    point: object
     simple: bool
 
     @property
+    def sign_a(self) -> int:
+        return self._signs()[0]
+
+    @property
+    def sign_b(self) -> int:
+        return self._signs()[1]
+
+    def _signs(self) -> tuple:
+        if isinstance(self.point, CosinePoint):
+            return self.point.s1, self.point.s2
+        half = Fraction(1, 2)
+        return tuple(0 if t in (0, half) else (1 if t < half else -1)
+                     for t in self.point)
+
+    @property
     def thetas(self) -> tuple:
-        t1 = math.acos(max(-1.0, min(1.0, float(self.cos_a))))
-        t2 = math.acos(max(-1.0, min(1.0, float(self.cos_b))))
-        if self.sign_a < 0:
-            t1 = 2 * math.pi - t1
-        if self.sign_b < 0:
-            t2 = 2 * math.pi - t2
-        return t1, t2
+        if not isinstance(self.point, CosinePoint):
+            return tuple(2 * math.pi * float(t) for t in self.point)
+        # the float of an exact cosine is correctly rounded, so in [-1, 1]
+        angles = (math.acos(float(c)) for c in (self.point.c1, self.point.c2))
+        return tuple(2 * math.pi - t if s < 0 else t
+                     for t, s in zip(angles, self._signs()))
 
 
 def _on_settled_relation(pt: CosinePoint) -> bool:
@@ -292,7 +307,7 @@ def _line_candidates(coords, pA, pB):
     # Distinct points come from distinct roots: the parameter is one of
     # the coordinates, and if x2 and x3 stay fixed along the line, x4 -
     # x2*x3 = s1*s2 tells the sine signs of the two roots apart.
-    for root, field in real_root_fields(poly):
+    for field in real_root_fields(poly):
         x2, x3, x4 = (field(*line) for line in lines)
         if not all(in_unit_interval(x) for x in (x2, x3, x4)):
             continue
@@ -312,11 +327,7 @@ def _line_candidates(coords, pA, pB):
                 pt = CosinePoint(x2, sa, x3, sb)
                 if not (pt.imag_vanishes(pA) and pt.imag_vanishes(pB)):
                     continue
-                points.append(CommonPoint(
-                    cos_a=x2e.subs(_T, root), sign_a=sa,
-                    cos_b=x3e.subs(_T, root), sign_b=sb,
-                    simple=_on_settled_relation(pt),
-                ))
+                points.append(CommonPoint(pt, _on_settled_relation(pt)))
     return points
 
 
@@ -335,17 +346,6 @@ def _common_two_variable(pA: LaurentPoly, pB: LaurentPoly) -> "PairVerdict":
             if abs(p.evaluate(za, zb)) > 1e-9:
                 raise AssertionError("common point fails re-verification")
     return _verdict_from_points(points, method="real-line-quadric")
-
-
-def _dedup(points) -> tuple:
-    """The substitution routes' points, each once, in first-seen order.
-
-    Their cosines are sympy cosines of rational turns, or algebraic
-    cosines from ``solve_unit_circle`` and their negatives: one written
-    form per value, so two points are equal exactly when their
-    expressions are.
-    """
-    return tuple(dict.fromkeys(points))
 
 
 def _verdict_from_points(points, method: str) -> "PairVerdict":
@@ -405,7 +405,7 @@ def _difference_route(pA: LaurentPoly, pB: LaurentPoly) -> "PairVerdict":
                 return family
             continue
         points.extend(batch)
-    verdict = _verdict_from_points(_dedup(points), method="difference")
+    verdict = _verdict_from_points(points, method="difference")
     if family is None or verdict.kind == "NonSimpleCommon":
         return verdict
     return family
@@ -420,7 +420,11 @@ def _substitution_points(group: str, value: int, pA, pB):
     """Common points once one letter is pinned or the letters identified.
 
     Returns None when both residues vanish identically, meaning the
-    whole one-parameter family is common.
+    whole one-parameter family is common. No point repeats: distinct
+    roots of unity y give distinct points, an algebraic y is no root of
+    unity, and its two points differ in the sign of their sine. Points
+    of the two values of ``value`` differ in the pinned letter, or in
+    a = b against a = -b.
     """
     lhs, rhs = _GROUP_EXPS[group]
     rel = Relation(lhs, value, rhs)
@@ -475,50 +479,32 @@ def _ruled_line_route(coords, pA, pB) -> "PairVerdict":
                 pts = _substitution_points(group, value, pA, pB)
                 if pts is None:
                     return _family_verdict(group, value)
-                return _verdict_from_points(_dedup(pts), method="ruled-line")
+                return _verdict_from_points(pts, method="ruled-line")
     raise UnsupportedPair(
         "line inside the compatibility quadric with no pinned coordinate"
     )
 
 
 def _algebraic_line_points(group: str, value: int, ap):
-    cosv = ap.cos_value
-    fixed = sympy.Integer(value)
-    if group != "a/b":
-        field = cos_field(ap.cos_minpoly, cosv)
-        theta, pinned = field(0, 1), field(value)
+    """The two points with the free letter at the algebraic point ``ap``
+    and its conjugate, in the field of ``ap``'s cosine."""
+    field = ap.field
+    y = field(0, 1)
     out = []
     for sign in (1, -1):
         if group == "a":
-            pt = CommonPoint(fixed, 0, cosv, sign, _on_settled_relation(
-                CosinePoint(pinned, 0, theta, sign)))
+            pt = CosinePoint(field(value), 0, y, sign)
         elif group == "b":
-            pt = CommonPoint(cosv, sign, fixed, 0, _on_settled_relation(
-                CosinePoint(theta, sign, pinned, 0)))
+            pt = CosinePoint(y, sign, field(value), 0)
         else:
-            # a = +-b with the same algebraic b: the identification is
-            # itself one of the settled relations, hence simple
-            pt = CommonPoint(value * cosv, sign if value == 1 else -sign,
-                             cosv, sign, True)
-        out.append(pt)
+            pt = CosinePoint(value * y, value * sign, y, sign)
+        # a = +-b is itself one of the settled relations
+        out.append(CommonPoint(pt, group == "a/b" or _on_settled_relation(pt)))
     return out
 
 
 def _point_from_turns(ta: Fraction, tb: Fraction) -> CommonPoint:
-    a = root_of_unity(ta.numerator, ta.denominator)
-    b = root_of_unity(tb.numerator, tb.denominator)
-    # simplify fixes the written form, which is part of the result, and
-    # is not the identity on every turn: cos(4*pi/7) is -cos(3*pi/7)
-    # before it and -sin(pi/14) after.
-    cos_a = sympy.simplify(
-        sympy.cos(2 * sympy.pi * Rational(ta.numerator, ta.denominator)))
-    cos_b = sympy.simplify(
-        sympy.cos(2 * sympy.pi * Rational(tb.numerator, tb.denominator)))
-    half = Fraction(1, 2)
-    sign_a = 0 if ta in (Fraction(0), half) else (1 if ta < half else -1)
-    sign_b = 0 if tb in (Fraction(0), half) else (1 if tb < half else -1)
-    return CommonPoint(cos_a, sign_a, cos_b, sign_b,
-                       is_simple((a, b), _GENERIC_STRUCT))
+    return CommonPoint((ta, tb), any(rel.holds(ta, tb) for rel in SETTLED_RELATIONS))
 
 
 @dataclass(frozen=True)
@@ -605,7 +591,7 @@ def _exact_real_roots(coefficients):
     """The distinct real roots of an integer polynomial of degree at
     most 3, in radicals and in increasing order, and the field of each."""
     poly = sympy.Poly(list(reversed(coefficients)), _T)
-    fields = [field for _, field in real_root_fields(poly)]
+    fields = list(real_root_fields(poly))
     out = sorted((r for r in sympy.roots(poly) if r.is_real),
                  key=lambda r: float(r.evalf(30)))
     if len(out) != len(fields):

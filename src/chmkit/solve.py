@@ -12,6 +12,10 @@ unimodular roots are just +-1, whose minimal polynomials are
 cyclotomic. That argument makes the decomposition below a complete
 description, not a heuristic.
 
+Each solution is exact: a root of unity is its turn (``UnitValue``), any
+other pair of roots an ``AlgebraicPoint``, whose cosine generates an
+``exactnum.Field``. Float angles are derived from the exact point.
+
 A point is simple when a letter is one of the eight values of
 ``exactnum.SIMPLE_TURNS`` (complex values in ``exactnum.SIMPLE_VALUES``)
 or when (a, b) satisfies one of the ten relations x = s*y^k of
@@ -31,7 +35,14 @@ from typing import Iterable, Optional
 import sympy
 from sympy import Poly, Symbol
 
-from .exactnum import SIMPLE_VALUES, is_simple_unit, root_of_unity
+from .exactnum import (
+    SIMPLE_VALUES,
+    Field,
+    in_unit_interval,
+    is_simple_unit,
+    real_root_fields,
+    root_of_unity,
+)
 
 _X = Symbol("x")
 
@@ -130,15 +141,23 @@ class LaurentPoly:
 class AlgebraicPoint:
     """A conjugate pair of unimodular roots, described through cos(theta).
 
-    ``cos_minpoly`` is the primitive integer polynomial (coefficient
-    tuple, constant term first) vanishing at cos(theta); ``cos_value``
-    is the exact sympy number; ``theta`` a float witness for the root
-    in the upper half plane.
+    ``field`` is Q(cos theta): its generator is the exact cosine, a
+    root of its minimal polynomial isolated by its interval. The integer
+    minimal polynomial and the float angle are read off it.
     """
 
-    cos_minpoly: tuple
-    cos_value: object
-    theta: float
+    field: Field
+
+    @property
+    def cos_minpoly(self) -> tuple:
+        """The integer minimal polynomial of cos(theta), constant term first."""
+        scale = math.lcm(*(c.denominator for c in self.field.minpoly))
+        return tuple(int(c * scale) for c in self.field.minpoly)
+
+    @property
+    def theta(self) -> float:
+        """The angle of the root in the upper half plane, as a float."""
+        return math.acos(float(self.field(0, 1)))
 
     def as_complex(self) -> complex:
         return cmath.exp(1j * self.theta)
@@ -271,21 +290,10 @@ def _solve_cleared(coeffs: tuple) -> SolutionSet:
         coeff_list = [int(c) for c in factor.all_coeffs()]
         if fdeg % 2 == 0 and coeff_list == coeff_list[::-1]:
             cos_coeffs = _cos_polynomial(coeff_list[::-1])
-            g = Poly(list(reversed(cos_coeffs)), _X)
-            g = g.primitive()[1]
-            for root in g.real_roots():
-                if not (-1 < root < 1):
-                    continue
-                theta = math.acos(float(root))
-                algebraic.append(
-                    AlgebraicPoint(
-                        cos_minpoly=tuple(
-                            int(c) for c in reversed(g.all_coeffs())
-                        ),
-                        cos_value=root,
-                        theta=theta,
-                    )
-                )
+            for field in real_root_fields(Poly(cos_coeffs[::-1], _X)):
+                # +-1 is no root: x -+ 1 would divide the irreducible factor
+                if in_unit_interval(field(0, 1)):
+                    algebraic.append(AlgebraicPoint(field))
         # non-reciprocal, non-cyclotomic factors carry no unimodular roots
 
     exact_sorted = tuple(sorted(set(exact), key=lambda u: u.turn))
@@ -298,12 +306,9 @@ def _solve_cleared(coeffs: tuple) -> SolutionSet:
 
 
 def _reverify(p: LaurentPoly, sol: SolutionSet) -> None:
-    for u in sol.exact_points:
-        if abs(p.evaluate(u.as_complex())) > 1e-7:
-            raise AssertionError("exact point fails numeric re-check")
     for z in sol.all_points_complex():
         if abs(p.evaluate(z)) > 1e-7:
-            raise AssertionError("solution point fails re-verification")
+            raise AssertionError("solution point fails numeric re-check")
 
 
 def has_nonsimple_point(sol: SolutionSet) -> bool:
@@ -456,6 +461,9 @@ def pinned_residual(a, b) -> float:
     return min(abs(v - w) for v in probes for w in SIMPLE_VALUES)
 
 
+_FLAG_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class TorusPoint:
     """One torus solution of a two-variable equation.
@@ -464,7 +472,8 @@ class TorusPoint:
     with a letter (or the ratio of the letters) at a distinguished
     value. A point that is neither escapes every settled case.
     ``solve_torus`` finds each point to 50 digits, then computes the
-    angles and both flags in doubles from it.
+    angles and both flags in doubles from it: a flag is set when its
+    residual is at most ``_FLAG_TOL``.
     """
 
     theta1: float
@@ -547,20 +556,20 @@ def _coeffs_at(rows: list, value, mp) -> list:
     return out
 
 
-def _classify_torus_point(a, b, tol: float) -> "TorusPoint":
+def _classify_torus_point(a, b) -> "TorusPoint":
     # The residuals run in doubles: on all 1622 points of the 357 GENERIC
     # equations at samples=8 they are at most 5.6e-16 or at least 6.6e-4,
-    # far from tol, and within 2.2e-16 of their 50-digit values.
+    # far from _FLAG_TOL, and within 2.2e-16 of their 50-digit values.
     za, zb = complex(a), complex(b)
     return TorusPoint(
         theta1=cmath.phase(za) % (2 * math.pi),
         theta2=cmath.phase(zb) % (2 * math.pi),
-        simple=ten_relation_residual(za, zb) <= tol,
-        pinned=pinned_residual(za, zb) <= tol,
+        simple=ten_relation_residual(za, zb) <= _FLAG_TOL,
+        pinned=pinned_residual(za, zb) <= _FLAG_TOL,
     )
 
 
-def solve_torus(p: LaurentPoly, samples: int = 720, tol: float = 1e-9) -> TorusSolution:
+def solve_torus(p: LaurentPoly, samples: int = 720) -> TorusSolution:
     """Solve a two-variable Laurent polynomial on the unit torus, exactly.
 
     On the torus the complex conjugate of p is p with inverted
@@ -572,7 +581,7 @@ def solve_torus(p: LaurentPoly, samples: int = 720, tol: float = 1e-9) -> TorusS
     variable to finitely many candidates, each verified and classified
     (kind "isolated", complete, or "empty"). Roots are found at 50
     digits; the verification and the ``simple`` and ``pinned`` flags
-    (residual at most ``tol``) are computed in doubles from them.
+    (residual at most ``_FLAG_TOL``) are computed in doubles from them.
     """
     import mpmath as mp
 
@@ -604,7 +613,7 @@ def solve_torus(p: LaurentPoly, samples: int = 720, tol: float = 1e-9) -> TorusS
         def add_point(a, b):
             if not verified(a, b):
                 return
-            pt = _classify_torus_point(a, b, tol)
+            pt = _classify_torus_point(a, b)
             key = (round(pt.theta1, 9) % round(2 * math.pi, 9),
                    round(pt.theta2, 9) % round(2 * math.pi, 9))
             if key not in seen:

@@ -49,6 +49,7 @@ from chmkit.solve import (
     solve_unit_circle,
     ten_relation_residual,
 )
+from sympy_values import cos_value
 
 
 CONJ = STRUCTURES["CONJ"]
@@ -525,13 +526,14 @@ def test_torus_flags_in_doubles_match_fifty_digits(monkeypatch):
     flagged = []
     classify = solve._classify_torus_point
 
-    def spy(a, b, tol):
+    def spy(a, b):
         # real roots come back from mpmath as mpf
         assert isinstance(a, (mp.mpc, mp.mpf)) and isinstance(b, (mp.mpc, mp.mpf))
+        tol = solve._FLAG_TOL
         with mp.workdps(50):
             wide = (ten_relation_residual(a, b) <= tol,
                     pinned_residual(a, b) <= tol)
-        pt = classify(a, b, tol)
+        pt = classify(a, b)
         flagged.append(((pt.simple, pt.pinned), wide, complex(a), complex(b)))
         return pt
 
@@ -595,7 +597,7 @@ def test_conj_classification_census():
 def test_conj_quadratic_case_has_surd_cosines():
     cls = classify_array(CountArray(CONJ, (0, 1, 1, 2, 2)))
     assert str(cls.label) == "NonSimple(Eq1)"
-    got = sorted(ap.cos_value for ap in cls.solutions.algebraic_points)
+    got = sorted(cos_value(ap) for ap in cls.solutions.algebraic_points)
     want = sorted([(-1 - sympy.sqrt(33)) / 8, (-1 + sympy.sqrt(33)) / 8])
     assert all(sympy.simplify(g - w) == 0 for g, w in zip(got, want))
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from chmkit.exactnum import (
     CycSum,
+    Field,
     I_UNIT,
     MINUS_ONE,
     OMEGA,
@@ -207,3 +209,26 @@ def test_cycsum_multiplication_evaluates(xs, ys):
 def test_conjugation_matches_complex_conjugate(values):
     s = unit_sum(values)
     assert abs(s.conj().evaluate() - s.evaluate().conjugate()) < 1e-9
+
+
+def test_field_element_float_is_correctly_rounded():
+    """float() of a field element is the double nearest its exact value:
+    the value lies between the midpoints to the neighbouring doubles, as
+    the field's own sign test decides, in Q(sqrt 2) and in Q(p) for the
+    real root p of p^3 - p - 1."""
+    sqrt2 = Field([Fraction(-2), Fraction(0), Fraction(1)], Fraction(1), Fraction(2))
+    assert float(sqrt2(0, 1)) == math.sqrt(2)
+    plastic = Field([Fraction(-1), Fraction(-1), Fraction(0), Fraction(1)],
+                    Fraction(1), Fraction(2))
+    rng = random.Random(5)
+    for field in (sqrt2, plastic):
+        degree = len(field.minpoly) - 1
+        for _ in range(40):
+            x = field(*(Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                        for _ in range(degree)))
+            d = float(x)
+            below = (Fraction(d) + Fraction(math.nextafter(d, -math.inf))) / 2
+            above = (Fraction(d) + Fraction(math.nextafter(d, math.inf))) / 2
+            assert (x - below).sign() > 0 and (x - above).sign() < 0, x.coeffs
+    third = Field([Fraction(-1, 3), Fraction(1)], Fraction(1, 3), Fraction(1, 3))
+    assert float(third(0, 1)) == 1 / 3 and float(third()) == 0.0

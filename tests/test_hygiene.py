@@ -149,6 +149,34 @@ def test_scan_finds_a_dead_definition():
         ("m.py", 4, "unused"), ("m.py", 7, "gone")]
 
 
+def _sympy_cosine_writes(tree: ast.Module) -> list:
+    """(line, source) of each use of ``sympy.simplify`` or ``sympy.cos``,
+    each import of either name from sympy, and each ``.subs``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = getattr(node.value, "id", None)
+            if node.attr == "subs" or (owner == "sympy" and node.attr in ("simplify", "cos")):
+                found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom) and node.module == "sympy":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in ("simplify", "cos")]
+    return found
+
+
+def test_pairs_writes_no_sympy_cosines():
+    # the pair verdicts hold exact points; a cosine is never written out
+    assert _sympy_cosine_writes(ast.parse((_PACKAGE / "pairs.py").read_text())) == []
+
+
+def test_scan_finds_sympy_cosine_writes():
+    tree = ast.parse(
+        "import math, sympy\nfrom sympy import cos, sqrt\n"
+        "x = sympy.simplify(sympy.cos(t))\ny = e.subs(t, 1) + math.cos(1)\n")
+    assert _sympy_cosine_writes(tree) == [
+        (2, "cos"), (3, "sympy.simplify"), (3, "sympy.cos"), (4, "e.subs")]
+
+
 def _spans_tables() -> dict:
     """The literal TIMED and COUNTED tables of the benchmark's tracer."""
     tables = {}

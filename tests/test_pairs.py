@@ -1,6 +1,7 @@
 """Unit tests for joint solvability of two count-array equations."""
 
 import collections
+import dataclasses
 import itertools
 import math
 import random
@@ -11,7 +12,13 @@ import pytest
 import sympy
 
 from chmkit import pairs
-from chmkit.arrays import CountArray, STRUCTURES, enumerate_count_arrays, original_equation
+from chmkit.arrays import (
+    CountArray,
+    STRUCTURES,
+    classify_array,
+    enumerate_count_arrays,
+    original_equation,
+)
 from chmkit.exactnum import (
     CosinePoint,
     Field,
@@ -22,11 +29,11 @@ from chmkit.exactnum import (
 from chmkit.solve import SETTLED_RELATIONS, LaurentPoly, solve_unit_circle
 from chmkit.pairs import (
     AlphabetRelationReport,
-    CommonPoint,
     common_solutions,
     h2_alphabet_relations,
     real_part_system,
 )
+from sympy_values import cosines
 
 CONJ = STRUCTURES["CONJ"]
 GENERIC = STRUCTURES["GENERIC"]
@@ -253,18 +260,52 @@ def test_n1_pair_witnesses_verify(n1_verdicts):
             assert v.witness is not None
 
 
+def _sympy_parts(value) -> list:
+    """Each sympy object inside a point: at any depth of its dataclass
+    fields, fields, elements and tuples."""
+    if isinstance(value, sympy.Basic):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        parts = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, Field):
+        parts = [*value.minpoly, value.lo, value.hi]
+    elif isinstance(value, CosinePoint):
+        parts = [value.field, *value.c1.coeffs, *value.c2.coeffs]
+    elif isinstance(value, tuple):
+        parts = list(value)
+    else:
+        return []
+    return [x for part in parts for x in _sympy_parts(part)]
+
+
+def test_points_hold_no_sympy_values(n1_verdicts):
+    """Every algebraic point of the 900-array sweep, and every common
+    point of the 15 N.1 pairs and the cross-family pairs, holds exact
+    values without sympy."""
+    algebraic = [ap for struct in STRUCTURES.values()
+                 for arr in enumerate_count_arrays(struct)
+                 for ap in classify_array(arr).solutions.algebraic_points]
+    common = [pt for v in n1_verdicts.values() for pt in v.points]
+    common += [pt for ca, cb in _CROSS_PAIRS for pt in _pair(ca, cb).points]
+    assert len(algebraic) > 10 and len(common) > 40
+    for pt in algebraic + common:
+        assert _sympy_parts(pt) == [], pt
+    assert {type(pt.point) for pt in common} == {tuple, CosinePoint}
+    assert _sympy_parts((Field.of_root(sympy.Integer(1)), sympy.Integer(2))) == [2]
+
+
 def test_n1_first_pair_point_values():
     v = _pair(_N1[0], _N1[1])
     assert v.kind == "NonSimpleCommon"
     assert v.method == "real-line-quadric"
     cos_pairs = sorted(
-        (sympy.nsimplify(p.cos_a), sympy.nsimplify(p.cos_b)) for p in v.points
+        tuple(map(sympy.nsimplify, cosines(p))) for p in v.points
     )
     # a = 1 with cos(t_b) = -1/2 (non-simple), and a surd pair (simple)
     assert (1, Rational := sympy.Rational(-1, 2)) in cos_pairs
     surd = [p for p in v.points if p.simple]
     assert len(surd) == 2
-    assert all(sympy.simplify(p.cos_a - (1 - sympy.sqrt(3))) == 0 for p in surd)
+    assert all(sympy.simplify(cosines(p)[0] - (1 - sympy.sqrt(3))) == 0 for p in surd)
 
 
 # --- cross-family verdicts ----------------------------------------------------
@@ -279,7 +320,7 @@ def test_cross_family_no_common():
 def test_cross_family_simple_corner_points():
     v = _pair((2, 2, 0, 1, 0, 1, 0), (1, 1, 1, 2, 0, 1, 0))
     assert v.kind == "SimpleOnlyCommon"
-    assert [(str(p.cos_a), str(p.cos_b)) for p in v.points] == [("-1", "1")]
+    assert [tuple(map(str, cosines(p))) for p in v.points] == [("-1", "1")]
 
 
 def test_cross_family_nonsimple_degenerate_letter():
@@ -298,7 +339,7 @@ def test_ruled_line_route_pins_a_letter():
     v = _pair((1, 1, 0, 2, 0, 2, 0), (2, 2, 0, 1, 0, 1, 0))
     assert v.kind == "SimpleOnlyCommon"
     assert v.method == "ruled-line"
-    assert sorted((str(p.cos_a), str(p.cos_b)) for p in v.points) == [
+    assert sorted(tuple(map(str, cosines(p))) for p in v.points) == [
         ("-1", "-1"),
         ("-1", "1"),
     ]
@@ -308,14 +349,14 @@ def test_difference_route_on_proportional_real_parts():
     v = _pair((1, 1, 1, 2, 0, 1, 0), (1, 1, 1, 0, 2, 1, 0))
     assert v.kind == "SimpleOnlyCommon"
     assert v.method == "difference"
-    assert sorted((str(p.cos_a), str(p.cos_b)) for p in v.points) == [
+    assert sorted(tuple(map(str, cosines(p))) for p in v.points) == [
         ("-1", "1"),
         ("1", "-1"),
     ]
     w = _pair((2, 2, 0, 1, 0, 1, 0), (2, 2, 0, 0, 1, 1, 0))
     assert w.kind == "SimpleOnlyCommon"
     assert w.method == "difference"
-    assert sorted((str(p.cos_a), str(p.cos_b)) for p in w.points) == [
+    assert sorted(tuple(map(str, cosines(p))) for p in w.points) == [
         ("-1", "-1"),
         ("-1", "1"),
     ]
@@ -324,7 +365,7 @@ def test_difference_route_on_proportional_real_parts():
 def test_remaining_mixed_pair():
     v = _pair((2, 1, 0, 2, 0, 0, 1), (1, 1, 0, 2, 0, 2, 0))
     assert v.kind == "SimpleOnlyCommon"
-    assert [(str(p.cos_a), str(p.cos_b)) for p in v.points] == [("-1", "-1")]
+    assert [tuple(map(str, cosines(p))) for p in v.points] == [("-1", "-1")]
 
 
 # --- the {1,1,2,2} elimination -------------------------------------------------
@@ -461,7 +502,7 @@ def _n1_root_fields():
     for ca, cb in itertools.combinations(_N1, 2):
         poly = _quadric(*_equations(ca, cb))
         exact = list(dict.fromkeys(poly.real_roots(radicals=False)))
-        fields = [field for _, field in real_root_fields(poly)]
+        fields = list(real_root_fields(poly))
         assert len(exact) == len(fields)
         out.extend(zip(exact, fields))
     return out
@@ -568,7 +609,7 @@ def test_cosine_point_matches_mpmath_at_n1_quadric_roots():
                       reversed(sympy.Poly(e, pairs._T).all_coeffs())]
                      for e in pairs._solve_real_line(pA, pB)[:2]]
             exact_roots = dict.fromkeys(poly.real_roots(radicals=False))
-            fields = [field for _, field in real_root_fields(poly)]
+            fields = list(real_root_fields(poly))
             for exact, field in zip(exact_roots, fields):
                 theta = mpmath.mpf(str(sympy.N(exact, 70)))
                 x2, x3 = (field(*line) for line in lines)
@@ -616,7 +657,7 @@ def test_algebraic_line_points_simplicity():
             for group, value in itertools.product(("a", "b", "a/b"), (1, -1)):
                 for p in pairs._algebraic_line_points(group, value, ap):
                     assert p.simple == _ref_candidate_simple(
-                        p.cos_a, p.sign_a, p.cos_b, p.sign_b), (group, value, p)
+                        *_sympy_point(p)[:4]), (group, value, p)
                     checked += p.simple
     # a/b always, and a = -1 or b = -1
     assert checked == 2 * 2 * 4
@@ -697,24 +738,32 @@ def _ref_line_points(pA, pB):
                     for u, v, w in (imA, imB)
                 ):
                     continue
-                points.append(CommonPoint(x2, sa, x3, sb,
-                                          _ref_candidate_simple(x2, sa, x3, sb)))
+                points.append((x2, sa, x3, sb, _ref_candidate_simple(x2, sa, x3, sb)))
     return _ref_dedup(points)
 
 
 def _ref_dedup(points):
     out = []
     for pt in points:
-        if not any(pt.sign_a == q.sign_a and pt.sign_b == q.sign_b
-                   and _ref_eq(pt.cos_a, q.cos_a) and _ref_eq(pt.cos_b, q.cos_b)
+        if not any(pt[1] == q[1] and pt[3] == q[3]
+                   and _ref_eq(pt[0], q[0]) and _ref_eq(pt[2], q[2])
                    for q in out):
             out.append(pt)
     return out
 
 
-def _srepr_points(points):
-    return [(sympy.srepr(p.cos_a), p.sign_a, sympy.srepr(p.cos_b), p.sign_b, p.simple)
-            for p in points]
+def _sympy_point(p):
+    """A ``CommonPoint`` as (cos_a, sign_a, cos_b, sign_b, simple), the
+    cosines as sympy numbers, the form of the reference points."""
+    cos_a, cos_b = cosines(p)
+    return cos_a, p.sign_a, cos_b, p.sign_b, p.simple
+
+
+def _same_points(got, want) -> bool:
+    """The same points in the same order, the cosines equal by value."""
+    return len(got) == len(want) and all(
+        g[1] == w[1] and g[3:] == w[3:] and _ref_eq(g[0], w[0]) and _ref_eq(g[2], w[2])
+        for g, w in zip(got, want))
 
 
 # The N.1 pairs (1-based, as in n1_verdicts) whose reference run takes
@@ -726,9 +775,10 @@ _N1_FAST_REFERENCE = ((1, 3), (2, 4), (2, 5), (4, 6), (5, 6))
     (_N1[i - 1], _N1[j - 1]) for i, j in _N1_FAST_REFERENCE])
 def test_field_route_matches_eq_reference(ca, cb):
     v = _pair(ca, cb)
+    got = [_sympy_point(p) for p in v.points]
     if v.method == "real-line-quadric":
-        assert _srepr_points(v.points) == _srepr_points(_ref_line_points(*_equations(ca, cb)))
+        assert _same_points(got, _ref_line_points(*_equations(ca, cb)))
     else:
-        assert _srepr_points(_ref_dedup(v.points)) == _srepr_points(v.points)
-        for p in v.points:
-            assert _ref_candidate_simple(p.cos_a, p.sign_a, p.cos_b, p.sign_b) == p.simple
+        assert _ref_dedup(got) == got
+        for p in got:
+            assert _ref_candidate_simple(*p[:4]) == p[4]
