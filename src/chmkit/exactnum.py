@@ -415,17 +415,6 @@ class Field:
     def __repr__(self) -> str:
         return f"Field({self.minpoly}, {self.lo!r}, {self.hi!r})"
 
-    @classmethod
-    def of_root(cls, root) -> "Field":
-        """The field of a sympy Rational or a real ``CRootOf``."""
-        if root.is_Rational:
-            r = as_fraction(root)
-            return cls((-r, Fraction(1)), r, r)
-        poly = sympy.Poly(root.poly)
-        (lo, hi), _ = poly.intervals()[root.index]
-        coeffs = [Fraction(int(c)) for c in reversed(poly.all_coeffs())]
-        return cls([c / coeffs[-1] for c in coeffs], as_fraction(lo), as_fraction(hi))
-
     def __call__(self, *coeffs) -> "FieldElement":
         """The element sum(coeffs[i] * theta^i)."""
         c = list(coeffs)
@@ -510,16 +499,38 @@ class FieldElement:
         return float(low)
 
 
-def real_root_fields(poly):
-    """The field of each distinct real root of the sympy ``poly``, in
-    increasing order.
+_X = sympy.Symbol("x")
 
-    Without radicals ``real_roots`` names each root as a Rational or a
-    ``CRootOf``, which carries the root's irreducible factor; it lists
-    the roots with multiplicity, and equal roots compare equal.
+
+def real_root_fields(coeffs) -> list:
+    """The field of each distinct real root of the rational polynomial
+    with these coefficients, constant term first, in increasing order.
+
+    sympy isolates the roots (``intervals``) and factors the polynomial
+    (``factor_list``), once each. A root's minimal polynomial is the
+    irreducible factor that changes sign strictly on its interval; a
+    rational root is its own interval.
     """
-    for root in dict.fromkeys(poly.real_roots(radicals=False)):
-        yield Field.of_root(root)
+    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    poly = sympy.Poly([int(c * scale) for c in reversed(coeffs)], _X)
+    factors = []
+    for factor, _ in poly.factor_list()[1]:
+        m = [Fraction(int(c)) for c in reversed(factor.all_coeffs())]
+        factors.append(tuple(c / m[-1] for c in m))
+    fields = []
+    for (lo, hi), _ in poly.intervals():
+        lo, hi = as_fraction(lo), as_fraction(hi)
+        if lo == hi:
+            found = [m for m in factors if _horner(m, lo) == 0]
+        else:
+            found = [m for m in factors if _horner(m, lo) * _horner(m, hi) < 0]
+        if len(found) != 1:
+            raise AssertionError(f"{len(found)} factors claim the root in [{lo}, {hi}]")
+        minpoly = found[0]
+        if len(minpoly) == 2:
+            lo = hi = -minpoly[0]
+        fields.append(Field(minpoly, lo, hi))
+    return fields
 
 
 def in_unit_interval(x: FieldElement) -> bool:

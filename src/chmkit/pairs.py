@@ -4,20 +4,22 @@ Two row pairs of one candidate matrix impose their inner-product
 equations simultaneously, so the case analysis needs the common zero
 set of two count arrays, not just each one alone. In one variable that
 set is the unimodular roots of one integer gcd, taken on plain
-coefficient lists by a primitive pseudo-remainder sequence and solved
-by ``solve.solve_unit_circle``. In two variables both real parts are
-linear in the three cosines (cos t1, cos t2, cos(t1-t2)); when the two
-linear forms are independent they cut a line, the cosine-compatibility
-quadric (x4 - x2*x3)^2 = (1-x2^2)(1-x3^2) reduces that line to finitely
-many candidates, and each candidate is accepted or rejected exactly
-against both imaginary parts. The verdict is therefore a proof, not a
-sampling claim: NoCommon and SimpleOnlyCommon enumerate every common
-point.
+coefficient lists by the primitive pseudo-remainder kernel of ``solve``
+and solved by ``solve.solve_unit_circle``. In two variables both real
+parts are linear in the three cosines (cos t1, cos t2, cos(t1-t2));
+when the two linear forms are independent they cut a line, the
+cosine-compatibility quadric (x4 - x2*x3)^2 = (1-x2^2)(1-x3^2) reduces
+that line to finitely many candidates, and each candidate is accepted
+or rejected exactly against both imaginary parts. The verdict is
+therefore a proof, not a sampling claim: NoCommon and SimpleOnlyCommon
+enumerate every common point.
 
 Every candidate on that line is one real root theta of the quadric
 polynomial in the line parameter, so its coordinates lie in the number
 field Q(theta) (``exactnum.Field``), where zero and sign tests are
-exact. A candidate with the signs of its two sines is an
+exact. The line and the quadric are ``sympy.Poly``s over QQ, and
+``exactnum.real_root_fields`` gets the quadric's coefficient list. A
+candidate with the signs of its two sines is an
 ``exactnum.CosinePoint``, which decides exactly whether an equation
 vanishes there. The same test against the equations x - s*y^k of
 ``solve.SETTLED_RELATIONS`` decides whether a common point is simple.
@@ -25,9 +27,10 @@ No verdict rests on a numeric cut-off: the float re-evaluation of each
 common point at 1e-9 only guards against a bug, and raises if it fails.
 
 A ``CommonPoint`` is its pair of turns when both letters are roots of
-unity, and otherwise a ``CosinePoint``; the substitution routes reuse
-the fields of ``solve.AlgebraicPoint``s. Sine signs and float angles
-are read off the point, and no cosine is written out in sympy.
+unity, and otherwise a ``CosinePoint``. The substitution routes give
+turns only: no residue of a count array has an algebraic unimodular
+root, so they use no algebraic field. Sine signs and float angles are
+read off the point, and no cosine is written out in sympy.
 
 real_part_system exposes the line-meets-quadric elimination for the
 recurring special family where one equation reduces to x_j + 2*x_k = 0
@@ -72,6 +75,7 @@ from .solve import (
     Relation,
     SolutionSet,
     _coefficients,
+    _primitive_gcd,
     has_nonsimple_point,
     solve_unit_circle,
 )
@@ -96,29 +100,9 @@ class UnsupportedPair(NotImplementedError):
 # --- one-variable pairs -------------------------------------------------
 #
 # Each equation, shifted to a nonzero constant term, is a short integer
-# coefficient list. The gcd of two of them comes from the primitive
-# pseudo-remainder sequence with math.gcd contents (Brown, J. ACM 18,
-# 1971): exact, and no sympy Poly is built. The list is what sympy.gcd
-# over ZZ returns, content and sign included, so solve_unit_circle sees
-# the same polynomial, and its cache the same key. A constant gcd means
-# no common root.
-
-
-def _primitive(f: list) -> list:
-    c = math.gcd(*f)
-    return [x // c for x in f]
-
-
-def _pseudo_remainder(f: list, g: list) -> list:
-    """A remainder of lc(g)^k * f by g, leading zeros stripped."""
-    lc, n = g[0], len(g)
-    while len(f) >= n:
-        lead = f[0]
-        head = [lc * x - lead * y for x, y in zip(f[1:n], g[1:])]
-        f = head + [lc * x for x in f[n:]]
-        while f and f[0] == 0:
-            f = f[1:]
-    return f
+# coefficient list, and the gcd of two of them is solve's primitive
+# pseudo-remainder kernel on those lists: exact, and no sympy Poly is
+# built. A constant gcd means no common root.
 
 
 def _int_gcd(pA: LaurentPoly, pB: LaurentPoly) -> list:
@@ -126,21 +110,13 @@ def _int_gcd(pA: LaurentPoly, pB: LaurentPoly) -> list:
 
     Coefficients leading first, as ``sympy.gcd`` over ZZ gives them: the
     gcd of the two contents times the primitive gcd with a positive
-    leading coefficient, so ``[c]`` when the gcd is a constant. The
-    primitive gcd is the last nonzero term of the primitive
-    pseudo-remainder sequence.
+    leading coefficient, so ``[c]`` when the gcd is a constant. So
+    ``solve_unit_circle`` sees the polynomial sympy would give, and its
+    cache the same key.
     """
     f, g = _coefficients(pA), _coefficients(pB)
     content = math.gcd(math.gcd(*f), math.gcd(*g))
-    f, g = _primitive(f), _primitive(g)
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        f, g = g, _pseudo_remainder(f, g)
-        if g:
-            g = _primitive(g)
-    sign = content if f[0] > 0 else -content
-    return [sign * x for x in f]
+    return [content * x for x in _primitive_gcd(f, g)]
 
 
 def _intpoly_to_laurent(coeffs: list, variable: str) -> LaurentPoly:
@@ -259,8 +235,9 @@ def _on_settled_relation(pt: CosinePoint) -> bool:
 def _solve_real_line(pA: LaurentPoly, pB: LaurentPoly):
     """Parametrize the common zero line of both real parts, if a line.
 
-    Returns the (x2, x3, x4) coordinates as exact linear expressions in
-    one parameter, or None when the two linear forms are dependent.
+    Returns the (x2, x3, x4) coordinates as polynomials of degree at
+    most 1 over QQ in one parameter, or None when the two linear forms
+    are dependent.
     """
     LA = _real_linear(pA)
     LB = _real_linear(pB)
@@ -271,16 +248,12 @@ def _solve_real_line(pA: LaurentPoly, pB: LaurentPoly):
         if det == 0:
             continue
         k = 3 - i - j
-        rhs = [
-            -consts[r] - rows[r][k] * _T
-            for r in range(2)
-        ]
-        xi = sympy.expand((rhs[0] * rows[1][j] - rhs[1] * rows[0][j]) / det)
-        xj = sympy.expand((rhs[1] * rows[0][i] - rhs[0] * rows[1][i]) / det)
+        rhs = [sympy.Poly([-rows[r][k], -consts[r]], _T, domain=sympy.QQ)
+               for r in range(2)]
         coords = [None, None, None]
-        coords[i] = xi
-        coords[j] = xj
-        coords[k] = _T
+        coords[i] = (rhs[0] * rows[1][j] - rhs[1] * rows[0][j]).quo_ground(det)
+        coords[j] = (rhs[1] * rows[0][i] - rhs[0] * rows[1][i]).quo_ground(det)
+        coords[k] = sympy.Poly([1, 0], _T, domain=sympy.QQ)
         return tuple(coords)
     return None
 
@@ -293,21 +266,18 @@ def _line_candidates(coords, pA, pB):
     caller then switches to the substitution route.
     """
     x2e, x3e, x4e = coords
-    quadric = sympy.expand(
-        (x4e - x2e * x3e) ** 2 - (1 - x2e**2) * (1 - x3e**2)
-    )
-    if quadric == 0:
+    quadric = (x4e - x2e * x3e) ** 2 - (1 - x2e**2) * (1 - x3e**2)
+    if quadric.is_zero:
         return None
-    poly = sympy.Poly(quadric, _T)
     points = []
-    if poly.degree() == 0:
+    if quadric.degree() == 0:
         return points
-    lines = [[as_fraction(c) for c in reversed(sympy.Poly(e, _T).all_coeffs())]
-             for e in coords]
+    lines = [[as_fraction(c) for c in reversed(e.all_coeffs())] for e in coords]
     # Distinct points come from distinct roots: the parameter is one of
     # the coordinates, and if x2 and x3 stay fixed along the line, x4 -
     # x2*x3 = s1*s2 tells the sine signs of the two roots apart.
-    for field in real_root_fields(poly):
+    cleared = [as_fraction(c) for c in reversed(quadric.all_coeffs())]
+    for field in real_root_fields(cleared):
         x2, x3, x4 = (field(*line) for line in lines)
         if not all(in_unit_interval(x) for x in (x2, x3, x4)):
             continue
@@ -401,8 +371,6 @@ def _difference_route(pA: LaurentPoly, pB: LaurentPoly) -> "PairVerdict":
         batch = _substitution_points(group, value, pA, pB)
         if batch is None:
             family = _family_verdict(group, value)
-            if family.kind == "NonSimpleCommon":
-                return family
             continue
         points.extend(batch)
     verdict = _verdict_from_points(points, method="difference")
@@ -420,11 +388,12 @@ def _substitution_points(group: str, value: int, pA, pB):
     """Common points once one letter is pinned or the letters identified.
 
     Returns None when both residues vanish identically, meaning the
-    whole one-parameter family is common. No point repeats: distinct
-    roots of unity y give distinct points, an algebraic y is no root of
-    unity, and its two points differ in the sign of their sine. Points
-    of the two values of ``value`` differ in the pinned letter, or in
-    a = b against a = -b.
+    whole one-parameter family is common. The shared roots are roots of
+    unity: no residue of a count array's equation has an algebraic
+    unimodular root (all 924 GENERIC equations are checked in the
+    tests), and one that did would raise. No point repeats: distinct
+    roots of unity y give distinct points, and points of the two values
+    of ``value`` differ in the pinned letter, or in a = b against a = -b.
     """
     lhs, rhs = _GROUP_EXPS[group]
     rel = Relation(lhs, value, rhs)
@@ -439,26 +408,23 @@ def _substitution_points(group: str, value: int, pA, pB):
         if len(g) == 1:
             return []
         shared = solve_unit_circle(_intpoly_to_laurent(g, "x"))
-    points = [_point_from_turns(*rel.point(u.turn)) for u in shared.exact_points]
-    for ap in shared.algebraic_points:
-        points.extend(_algebraic_line_points(group, value, ap))
-    return points
+    if shared.algebraic_points:
+        raise AssertionError(f"a residue on {rel} has an algebraic root")
+    return [_point_from_turns(*rel.point(u.turn)) for u in shared.exact_points]
 
 
 def _family_verdict(group: str, value: int) -> "PairVerdict":
     """Both residues vanished: a full circle of common solutions.
 
-    Pinning a letter to -1 or identifying a = +-b are settled
-    relations, so those families are simple throughout; a letter
-    pinned to +1 is not, and any point with the free letter away from
-    the settled values witnesses a non-simple common solution.
+    That happens at value -1 only: a count array's equation has
+    non-negative coefficients summing to 6, and so has its residue at
+    +1. Pinning a letter to -1 and a = -b are settled relations, so the
+    family is simple throughout.
     """
-    if value == -1 or group == "a/b":
-        return PairVerdict("SimpleOnlyCommon", common=None, points=(),
-                           witness=None, method="substitution-family")
-    witness = (0.0, 2 * math.pi / 3) if group == "a" else (2 * math.pi / 3, 0.0)
-    return PairVerdict("NonSimpleCommon", common=None, points=(),
-                       witness=witness, method="substitution-family")
+    if value != -1:
+        raise AssertionError(f"the residues at {group} = +1 vanished")
+    return PairVerdict("SimpleOnlyCommon", common=None, points=(),
+                       witness=None, method="substitution-family")
 
 
 def _ruled_line_route(coords, pA, pB) -> "PairVerdict":
@@ -470,37 +436,16 @@ def _ruled_line_route(coords, pA, pB) -> "PairVerdict":
     only at c = +-1, and symmetrically), so the pinned coordinate
     converts to an exact letter substitution.
     """
-    for idx, group in ((0, "a"), (1, "b"), (2, "a/b")):
-        expr = coords[idx]
-        if getattr(expr, "free_symbols", set()):
-            continue
-        for value in (1, -1):
-            if expr == value:
-                pts = _substitution_points(group, value, pA, pB)
-                if pts is None:
-                    return _family_verdict(group, value)
-                return _verdict_from_points(pts, method="ruled-line")
+    for line, group in zip(coords, ("a", "b", "a/b")):
+        if line.degree() <= 0 and line.TC() in (1, -1):
+            value = int(line.TC())
+            pts = _substitution_points(group, value, pA, pB)
+            if pts is None:
+                return _family_verdict(group, value)
+            return _verdict_from_points(pts, method="ruled-line")
     raise UnsupportedPair(
         "line inside the compatibility quadric with no pinned coordinate"
     )
-
-
-def _algebraic_line_points(group: str, value: int, ap):
-    """The two points with the free letter at the algebraic point ``ap``
-    and its conjugate, in the field of ``ap``'s cosine."""
-    field = ap.field
-    y = field(0, 1)
-    out = []
-    for sign in (1, -1):
-        if group == "a":
-            pt = CosinePoint(field(value), 0, y, sign)
-        elif group == "b":
-            pt = CosinePoint(y, sign, field(value), 0)
-        else:
-            pt = CosinePoint(value * y, value * sign, y, sign)
-        # a = +-b is itself one of the settled relations
-        out.append(CommonPoint(pt, group == "a/b" or _on_settled_relation(pt)))
-    return out
 
 
 def _point_from_turns(ta: Fraction, tb: Fraction) -> CommonPoint:
@@ -591,7 +536,7 @@ def _exact_real_roots(coefficients):
     """The distinct real roots of an integer polynomial of degree at
     most 3, in radicals and in increasing order, and the field of each."""
     poly = sympy.Poly(list(reversed(coefficients)), _T)
-    fields = list(real_root_fields(poly))
+    fields = real_root_fields(coefficients)
     out = sorted((r for r in sympy.roots(poly) if r.is_real),
                  key=lambda r: float(r.evalf(30)))
     if len(out) != len(fields):

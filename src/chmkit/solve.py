@@ -2,15 +2,17 @@
 
 Equations here arise as inner-product constraints whose unknowns are
 unimodular, so only roots on the unit circle matter. For an integer
-polynomial those come from two places: cyclotomic factors (roots of
-unity, recognized exactly) and irreducible self-reciprocal factors of
-even degree, which descend to a polynomial in cos(theta) of half the
-degree via the substitution y = x + 1/x. Any other irreducible factor
-has no unimodular root at all: a non-real unimodular root r forces
-conj(r) = 1/r into the factor, making it self-reciprocal, and real
-unimodular roots are just +-1, whose minimal polynomials are
-cyclotomic. That argument makes the decomposition below a complete
-description, not a heuristic.
+polynomial those come from two places, and no factorisation is needed
+to find them. A root of unity is a root of some Phi_n that divides the
+polynomial, so dividing out every such Phi_n reads them off exactly.
+Any other unimodular root r is not real (the real ones are +-1, roots
+of Phi_1 and Phi_2), so conj(r) = 1/r is a root too, and r is a root of
+the gcd of what remains with its reversal. That gcd is self-reciprocal
+of even degree and descends to a polynomial in cos(theta) of half the
+degree via the substitution y = x + 1/x. The division and the gcd run
+on integer coefficient lists (the gcd is the primitive pseudo-remainder
+kernel that ``pairs`` uses too), so the decomposition below is a
+complete description, not a heuristic.
 
 Each solution is exact: a root of unity is its turn (``UnitValue``), any
 other pair of roots an ``AlgebraicPoint``, whose cosine generates an
@@ -38,13 +40,12 @@ from sympy import Poly, Symbol
 from .exactnum import (
     SIMPLE_VALUES,
     Field,
+    _cyclo,
     in_unit_interval,
     is_simple_unit,
     real_root_fields,
     root_of_unity,
 )
-
-_X = Symbol("x")
 
 
 class LaurentPoly:
@@ -189,24 +190,49 @@ class SolutionSet:
         return pts
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_orders(deg: int) -> dict:
-    """Coefficient tuple (leading first) of Phi_n -> n, over every n up
-    to max(24, 2*deg^2 + 6) with totient(n) = deg."""
-    table = {}
-    bound = max(24, 2 * deg * deg + 6)
-    for n, totient in enumerate(sympy.sieve.totientrange(1, bound + 1), start=1):
-        if totient == deg:
-            cyclotomic = Poly(sympy.cyclotomic_poly(n, _X), _X)
-            table[tuple(int(c) for c in cyclotomic.all_coeffs())] = n
-    return table
+# --- integer polynomials as coefficient lists, leading first ----------------
 
 
-def _cyclotomic_order(f: Poly) -> Optional[int]:
-    """The n with f = n-th cyclotomic polynomial, if one exists."""
-    return _cyclotomic_orders(f.degree()).get(
-        tuple(int(c) for c in f.all_coeffs())
-    )
+def _primitive(f: list) -> list:
+    c = math.gcd(*f)
+    return [x // c for x in f]
+
+
+def _pseudo_remainder(f: list, g: list) -> list:
+    """A remainder of lc(g)^k * f by g, leading zeros stripped."""
+    lc, n = g[0], len(g)
+    while len(f) >= n:
+        lead = f[0]
+        head = [lc * x - lead * y for x, y in zip(f[1:n], g[1:])]
+        f = head + [lc * x for x in f[n:]]
+        while f and f[0] == 0:
+            f = f[1:]
+    return f
+
+
+def _primitive_gcd(f: list, g: list) -> list:
+    """The primitive gcd over the integers of two nonzero polynomials,
+    with a positive leading coefficient: the last nonzero term of their
+    primitive pseudo-remainder sequence (Brown, J. ACM 18, 1971)."""
+    f, g = _primitive(f), _primitive(g)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _pseudo_remainder(f, g)
+        if g:
+            g = _primitive(g)
+    return f if f[0] > 0 else [-x for x in f]
+
+
+def _monic_quotient(f: list, d: list) -> Optional[list]:
+    """f / d for a monic d, or None when d does not divide f."""
+    f, n = list(f), len(d)
+    for i in range(len(f) - n + 1):
+        for j in range(1, n):
+            f[i + j] -= f[i] * d[j]
+    if any(f[len(f) - n + 1:]):
+        return None
+    return f[:len(f) - n + 1]
 
 
 def _cos_polynomial(coeffs: list) -> list:
@@ -249,14 +275,14 @@ def _coefficients(p: LaurentPoly) -> list:
 def solve_unit_circle(p: LaurentPoly) -> SolutionSet:
     """Every unimodular root of a one-variable Laurent polynomial, exactly.
 
-    Clears denominators, factors over the integers, reads roots of unity
-    off cyclotomic factors, and converts the remaining self-reciprocal
-    factors to cos(theta) polynomials solved by exact real root
-    isolation. The returned set is complete. ``LaurentPoly`` and the
-    returned set are immutable. Factoring runs once per normalised
-    polynomial: p, -p and a^k*p share one returned set. Re-verification
-    against p runs once per distinct equation; invalid input raises
-    every time.
+    Clears denominators, divides out the cyclotomic polynomials that
+    divide, reading roots of unity off them, and converts the
+    self-reciprocal part of the rest to a cos(theta) polynomial solved
+    by exact real root isolation. The returned set is complete.
+    ``LaurentPoly`` and the returned set are immutable. Solving runs
+    once per normalised polynomial: p, -p and a^k*p share one returned
+    set. Re-verification against p runs once per distinct equation;
+    invalid input raises every time.
     """
     if len(p.variables) != 1:
         raise ValueError("solve_unit_circle expects a single variable")
@@ -273,30 +299,37 @@ def solve_unit_circle(p: LaurentPoly) -> SolutionSet:
 def _solve_cleared(coeffs: tuple) -> SolutionSet:
     """Unimodular roots of the integer polynomial with these coefficients,
     leading first; the leading one is positive, the constant term
-    nonzero."""
-    poly = Poly(coeffs, _X)
-    exact = []
-    algebraic = []
-    for factor, _mult in poly.factor_list()[1]:
-        fdeg = factor.degree()
-        if fdeg == 0:
-            continue
-        n = _cyclotomic_order(factor)
-        if n is not None:
-            for k in range(n):
-                if math.gcd(k, n) == 1:
-                    exact.append(root_of_unity(k, n))
-            continue
-        coeff_list = [int(c) for c in factor.all_coeffs()]
-        if fdeg % 2 == 0 and coeff_list == coeff_list[::-1]:
-            cos_coeffs = _cos_polynomial(coeff_list[::-1])
-            for field in real_root_fields(Poly(cos_coeffs[::-1], _X)):
-                # +-1 is no root: x -+ 1 would divide the irreducible factor
-                if in_unit_interval(field(0, 1)):
-                    algebraic.append(AlgebraicPoint(field))
-        # non-reciprocal, non-cyclotomic factors carry no unimodular roots
+    nonzero.
 
-    exact_sorted = tuple(sorted(set(exact), key=lambda u: u.turn))
+    Every Phi_n with phi(n) <= deg is divided out as often as it
+    divides, giving the primitive n-th roots; phi(n) >= sqrt(n/2)
+    bounds the n to try. What remains has no root of unity, so its
+    other unimodular roots are those of its gcd with its reversal,
+    which is self-reciprocal of even degree: +-1 are gone.
+    """
+    deg = len(coeffs) - 1
+    rest = list(coeffs)
+    exact = []
+    bound = max(24, 2 * deg * deg + 6)
+    for n, totient in enumerate(sympy.sieve.totientrange(1, bound + 1), start=1):
+        if totient >= len(rest):
+            continue
+        cyclotomic = _cyclo(n)[::-1]
+        quotient = _monic_quotient(rest, cyclotomic)
+        if quotient is None:
+            continue
+        while quotient is not None:
+            rest, quotient = quotient, _monic_quotient(quotient, cyclotomic)
+        exact.extend(root_of_unity(k, n) for k in range(n) if math.gcd(k, n) == 1)
+    algebraic = []
+    reciprocal = _primitive_gcd(rest, rest[::-1])
+    if len(reciprocal) > 1:
+        for field in real_root_fields(_cos_polynomial(reciprocal)):
+            # +-1 is no root: x -+ 1 no longer divides
+            if in_unit_interval(field(0, 1)):
+                algebraic.append(AlgebraicPoint(field))
+
+    exact_sorted = tuple(sorted(exact, key=lambda u: u.turn))
     algebraic_sorted = tuple(sorted(algebraic, key=lambda ap: ap.theta))
     return SolutionSet(
         exact_points=exact_sorted,

@@ -367,6 +367,11 @@ def _cyc_relation_holds(rel: Relation, turns: tuple) -> bool:
 _R = sympy.Symbol("r")
 
 
+def _sqrt3_field():
+    """Q(sqrt 3), generated by the root of r^2 - 3 in [1, 2]."""
+    return Field((Fraction(-3), Fraction(0), Fraction(1)), Fraction(1), Fraction(2))
+
+
 def _cos_and_sine_sign(t: Fraction, field):
     """cos(2*pi*t) for a twelfth turn t, as an element of ``field`` =
     Q(sqrt 3), and the sign of the sine."""
@@ -400,7 +405,7 @@ def test_settled_relations_agree_across_encodings():
 def test_settled_relations_cosine_form_agrees():
     """pairs' exact test of the settled equations at a CosinePoint
     against the exact turn test, on every point of the 1/12 grid."""
-    field = Field.of_root(sympy.CRootOf(_R**2 - 3, 1, radicals=False))
+    field = _sqrt3_field()
     twelfths = [Fraction(k, 12) for k in range(12)]
     for ta, tb in itertools.product(twelfths, twelfths):
         exact = is_simple((_unit(ta), _unit(tb)), GENERIC)
@@ -423,7 +428,7 @@ def test_cosine_point_matches_float_evaluation_on_twelfths():
     float value of ``LaurentPoly.evaluate`` (1e-9), at every point of
     the 1/12 grid in Q(sqrt 3), for 30 seeded GENERIC equations and the
     ten settled ones."""
-    field = Field.of_root(sympy.CRootOf(_R**2 - 3, 1, radicals=False))
+    field = _sqrt3_field()
     nonzero = [p for p in map(original_equation, enumerate_count_arrays(GENERIC))
                if not p.is_zero()]
     equations = (random.Random(113).sample(nonzero, 30)

@@ -149,32 +149,65 @@ def test_scan_finds_a_dead_definition():
         ("m.py", 4, "unused"), ("m.py", 7, "gone")]
 
 
-def _sympy_cosine_writes(tree: ast.Module) -> list:
-    """(line, source) of each use of ``sympy.simplify`` or ``sympy.cos``,
-    each import of either name from sympy, and each ``.subs``."""
+# sympy calls that write values out as expressions or isolate roots
+# through them, instead of handing sympy coefficient lists
+_SYMPY_WRITES = ("simplify", "cos", "subs", "expand", "roots", "real_roots", "CRootOf")
+
+
+def _sympy_cosine_writes(tree: ast.AST, names=_SYMPY_WRITES, exempt=()) -> list:
+    """(line, source) of each ``sympy.<name>`` or ``<value>.<name>`` for
+    the given ``names`` (``math`` and ``cmath`` excepted), and each
+    import of such a name from sympy, outside the functions named in
+    ``exempt``."""
     found = []
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name in exempt:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Attribute):
             owner = getattr(node.value, "id", None)
-            if node.attr == "subs" or (owner == "sympy" and node.attr in ("simplify", "cos")):
+            if node.attr in names and owner not in ("math", "cmath"):
                 found.append((node.lineno, ast.unparse(node)))
         elif isinstance(node, ast.ImportFrom) and node.module == "sympy":
             found += [(node.lineno, alias.name) for alias in node.names
-                      if alias.name in ("simplify", "cos")]
-    return found
+                      if alias.name in names]
+    return sorted(found)
 
 
-def test_pairs_writes_no_sympy_cosines():
-    # the pair verdicts hold exact points; a cosine is never written out
-    assert _sympy_cosine_writes(ast.parse((_PACKAGE / "pairs.py").read_text())) == []
+# The radical report of the {1,1,2,2} elimination writes its roots out
+# by design; whether it stays is ROADMAP item 6's question.
+_RADICAL_REPORT = ("real_part_system", "_exact_real_roots")
+
+
+def test_package_writes_no_sympy_cosines():
+    # exact points and sympy handed coefficient lists only, everywhere
+    found = {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        exempt = _RADICAL_REPORT if path.name == "pairs.py" else ()
+        writes = _sympy_cosine_writes(ast.parse(path.read_text()), exempt=exempt)
+        if writes:
+            found[path.name] = writes
+    assert found == {}
+    # the one-variable solver divides by cyclotomic polynomials instead
+    cleared = next(node for node in ast.walk(ast.parse((_PACKAGE / "solve.py").read_text()))
+                   if isinstance(node, ast.FunctionDef) and node.name == "_solve_cleared")
+    assert _sympy_cosine_writes(cleared, names=("factor_list",)) == []
 
 
 def test_scan_finds_sympy_cosine_writes():
     tree = ast.parse(
-        "import math, sympy\nfrom sympy import cos, sqrt\n"
-        "x = sympy.simplify(sympy.cos(t))\ny = e.subs(t, 1) + math.cos(1)\n")
-    assert _sympy_cosine_writes(tree) == [
-        (2, "cos"), (3, "sympy.simplify"), (3, "sympy.cos"), (4, "e.subs")]
+        "import math, sympy\nfrom sympy import cos, sqrt, CRootOf\n"
+        "x = sympy.simplify(sympy.cos(t))\ny = e.subs(t, 1) + math.cos(1)\n"
+        "z = sympy.expand(p * q).real_roots()\nw = sympy.roots(p)\n"
+        "def kept():\n    return sympy.expand(p)\n"
+        "def f():\n    return p.factor_list()\n")
+    assert _sympy_cosine_writes(tree, exempt=("kept",)) == [
+        (2, "CRootOf"), (2, "cos"), (3, "sympy.cos"), (3, "sympy.simplify"),
+        (4, "e.subs"), (5, "sympy.expand"), (5, "sympy.expand(p * q).real_roots"),
+        (6, "sympy.roots")]
+    assert _sympy_cosine_writes(tree, names=("factor_list",)) == [(10, "p.factor_list")]
 
 
 def _spans_tables() -> dict:

@@ -11,7 +11,7 @@ import mpmath
 import pytest
 import sympy
 
-from chmkit import pairs
+from chmkit import arrays, pairs, solve
 from chmkit.arrays import (
     CountArray,
     STRUCTURES,
@@ -26,7 +26,7 @@ from chmkit.exactnum import (
     real_root_fields,
     sqrt_sum_vanishes,
 )
-from chmkit.solve import SETTLED_RELATIONS, LaurentPoly, solve_unit_circle
+from chmkit.solve import SETTLED_RELATIONS, LaurentPoly, Relation, solve_unit_circle
 from chmkit.pairs import (
     AlphabetRelationReport,
     common_solutions,
@@ -291,7 +291,8 @@ def test_points_hold_no_sympy_values(n1_verdicts):
     for pt in algebraic + common:
         assert _sympy_parts(pt) == [], pt
     assert {type(pt.point) for pt in common} == {tuple, CosinePoint}
-    assert _sympy_parts((Field.of_root(sympy.Integer(1)), sympy.Integer(2))) == [2]
+    one = Field((Fraction(-1), Fraction(1)), Fraction(1), Fraction(1))
+    assert _sympy_parts((one, sympy.Integer(2))) == [2]
 
 
 def test_n1_first_pair_point_values():
@@ -488,11 +489,21 @@ def _equations(ca, cb):
             original_equation(CountArray(GENERIC, cb)))
 
 
+def _line(pA, pB):
+    """The real-part line's coordinates as sympy expressions."""
+    return [e.as_expr() for e in pairs._solve_real_line(pA, pB)]
+
+
 def _quadric(pA, pB):
     """The quadric polynomial in the parameter of the real-part line."""
-    x2, x3, x4 = pairs._solve_real_line(pA, pB)
+    x2, x3, x4 = _line(pA, pB)
     return sympy.Poly(
         sympy.expand((x4 - x2 * x3) ** 2 - (1 - x2**2) * (1 - x3**2)), pairs._T)
+
+
+def _ascending(poly):
+    """A sympy Poly's coefficients as Fractions, constant term first."""
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
 
 
 def _n1_root_fields():
@@ -502,10 +513,97 @@ def _n1_root_fields():
     for ca, cb in itertools.combinations(_N1, 2):
         poly = _quadric(*_equations(ca, cb))
         exact = list(dict.fromkeys(poly.real_roots(radicals=False)))
-        fields = list(real_root_fields(poly))
+        fields = real_root_fields(_ascending(poly))
         assert len(exact) == len(fields)
         out.extend(zip(exact, fields))
     return out
+
+
+def _reference_root_fields(coeffs):
+    """(root, monic minimal polynomial) of each distinct real root, the
+    route before ``real_root_fields``: ``real_roots`` without radicals
+    names each root as a Rational or a ``CRootOf``, which carries the
+    root's irreducible factor."""
+    poly = sympy.Poly(list(reversed(coeffs)), pairs._T)
+    out = []
+    for root in dict.fromkeys(poly.real_roots(radicals=False)):
+        factor = sympy.Poly([1, -root] if root.is_Rational else root.poly.all_coeffs(),
+                            pairs._T)
+        m = _ascending(factor)
+        out.append((root, tuple(c / m[-1] for c in m)))
+    return out
+
+
+def _seeded_products():
+    """Products of rational linear factors, squares and x^2 - k, with
+    rational, repeated and adjacent roots; the first isolates a root of
+    8x^2 - x - 1 on (0, 1/2), next to the rational root 1/2."""
+    x = pairs._T
+    products = [(2 * x - 1) * (8 * x**2 - x - 1) * (x - 1) ** 2 * (x**2 - 3)]
+    rng = random.Random(23)
+    for _ in range(40):
+        expr = sympy.Integer(1)
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                expr *= rng.randint(1, 4) * x - rng.randint(-4, 4)
+            elif kind == 1:
+                expr *= (rng.randint(1, 3) * x - rng.randint(-3, 3)) ** 2
+            else:
+                expr *= x**2 - rng.randint(1, 12)
+        products.append(expr)
+    return [_ascending(sympy.Poly(e, x)) for e in products]
+
+
+def test_real_root_fields_match_crootof(monkeypatch):
+    """``real_root_fields`` against ``real_roots(radicals=False)``: the
+    same roots in the same order, each minimal polynomial the
+    ``CRootOf``'s monic factor with the root inside its interval, and a
+    rational root its own interval. Inputs: every cosine polynomial of
+    the 900-array sweep, every N.1 and cross-family quadric, and seeded
+    products."""
+    recorded = []
+    for module in (solve, pairs):
+        real = module.real_root_fields
+        monkeypatch.setattr(module, "real_root_fields",
+                            lambda c, real=real: recorded.append(tuple(c)) or real(c))
+    equations = []
+    monkeypatch.setattr(arrays, "solve_unit_circle", lambda p: equations.append(p)
+                        or solve_unit_circle(p))
+    monkeypatch.setattr(arrays, "nonsimple_witness_search", lambda p: None)
+    for struct in STRUCTURES.values():
+        for arr in enumerate_count_arrays(struct):
+            arrays.classify_array.__wrapped__(arr)
+    for p in set(equations):
+        coeffs = solve._coefficients(p)
+        solve._solve_cleared.__wrapped__(tuple(c if coeffs[0] > 0 else -c for c in coeffs))
+    cosine_count = len(set(recorded))
+    for ca, cb in list(itertools.combinations(_N1, 2)) + _CROSS_PAIRS:
+        coords = pairs._solve_real_line(*_equations(ca, cb))
+        if coords is not None:
+            pairs._line_candidates(coords, *_equations(ca, cb))
+    inputs = list(dict.fromkeys(recorded)) + _seeded_products()
+    # 14 distinct cosine polynomials, then 14 distinct quadrics
+    assert (cosine_count, len(set(recorded))) == (14, 28)
+    counts = collections.Counter()
+    for coeffs in inputs:
+        fields = real_root_fields(coeffs)
+        reference = _reference_root_fields(coeffs)
+        assert len(fields) == len(reference), coeffs
+        rationals = {field.lo for field in fields if field.lo == field.hi}
+        for field, (root, minpoly) in zip(fields, reference):
+            assert field.minpoly == minpoly, coeffs
+            if root.is_Rational:
+                assert field.lo == field.hi == Fraction(int(root.p), int(root.q))
+                counts["rational"] += 1
+            else:
+                lo, hi = (sympy.Rational(b.numerator, b.denominator)
+                          for b in (field.lo, field.hi))
+                assert lo < root < hi, coeffs
+                counts["irrational"] += 1
+                counts["adjacent"] += bool({field.lo, field.hi} & rationals)
+    assert counts["rational"] > 50 and counts["irrational"] > 50, counts
+    assert counts["adjacent"] > 0, counts
 
 
 def _random_element(rng, field, bound=6):
@@ -561,11 +659,11 @@ def test_sqrt_sum_test_agrees_with_sympy():
     sympy on seeded cases: unrelated terms, terms built to cancel, and
     the same terms with one sign flipped, where alpha^2 P = beta^2 Q
     holds but the sum does not vanish."""
-    r = sympy.Symbol("r")
     fields = [
-        (Field.of_root(sympy.CRootOf(r**2 - 3, 1, radicals=False)),
+        # the roots of r^2 - 3 in [1, 2] and of 8r^2 - r - 1 in [-1, 0]
+        (Field((Fraction(-3), Fraction(0), Fraction(1)), Fraction(1), Fraction(2)),
          sympy.sqrt(3)),
-        (Field.of_root(sympy.CRootOf(8 * r**2 - r - 1, 0, radicals=False)),
+        (Field((Fraction(-1, 8), Fraction(-1, 8), Fraction(1)), Fraction(-1), Fraction(0)),
          (1 - sympy.sqrt(33)) / 16),
     ]
     rng = random.Random(83)
@@ -605,11 +703,9 @@ def test_cosine_point_matches_mpmath_at_n1_quadric_roots():
         for ca, cb in itertools.combinations(_N1, 2):
             pA, pB = _equations(ca, cb)
             poly = _quadric(pA, pB)
-            lines = [[Fraction(int(c.p), int(c.q)) for c in
-                      reversed(sympy.Poly(e, pairs._T).all_coeffs())]
-                     for e in pairs._solve_real_line(pA, pB)[:2]]
+            lines = [_ascending(sympy.Poly(e, pairs._T)) for e in _line(pA, pB)[:2]]
             exact_roots = dict.fromkeys(poly.real_roots(radicals=False))
-            fields = list(real_root_fields(poly))
+            fields = real_root_fields(_ascending(poly))
             for exact, field in zip(exact_roots, fields):
                 theta = mpmath.mpf(str(sympy.N(exact, 70)))
                 x2, x3 = (field(*line) for line in lines)
@@ -645,22 +741,31 @@ def test_double_quadric_roots_give_each_point_once():
         assert len(v.points) == count
 
 
-def test_algebraic_line_points_simplicity():
-    """The substitution routes' points at an algebraic cosine, linear
-    (-1/4) and quadratic ((-1 + sqrt 13)/4), against the reference."""
-    checked = 0
-    for coeffs in ({(1,): 2, (0,): 1, (-1,): 2},
-                   {(2,): 1, (1,): 1, (0,): -1, (-1,): 1, (-2,): 1}):
-        sol = solve_unit_circle(LaurentPoly(("x",), coeffs))
-        assert sol.algebraic_points
-        for ap in sol.algebraic_points:
-            for group, value in itertools.product(("a", "b", "a/b"), (1, -1)):
-                for p in pairs._algebraic_line_points(group, value, ap):
-                    assert p.simple == _ref_candidate_simple(
-                        *_sympy_point(p)[:4]), (group, value, p)
-                    checked += p.simple
-    # a/b always, and a = -1 or b = -1
-    assert checked == 2 * 2 * 4
+def test_substitution_residues_have_no_algebraic_root():
+    """The residues of a = +-1, b = +-1 and a = +-b on all 924 GENERIC
+    count arrays, the two-variable input of ``common_solutions``.
+    No non-zero residue has an algebraic unimodular root, so no gcd of
+    two has one either. They vanish identically at -1 only: at +1 the
+    coefficients stay non-negative and sum to 6."""
+    equations = [original_equation(CountArray(GENERIC, tuple(slots.count(i) for i in range(7))))
+                 for slots in itertools.combinations_with_replacement(range(7), 6)]
+    assert len(equations) == 924
+    vanished = collections.Counter()
+    nonzero = 0
+    for p in equations:
+        for group, (lhs, rhs) in pairs._GROUP_EXPS.items():
+            for value in (1, -1):
+                residue = Relation(lhs, value, rhs).substitute(p)
+                if value == 1:
+                    assert min(residue.coeffs.values()) > 0
+                    assert sum(residue.coeffs.values()) == 6
+                if residue.is_zero():
+                    vanished[group, value] += 1
+                    continue
+                nonzero += 1
+                assert not solve_unit_circle(residue).algebraic_points, (p, group, value)
+    assert nonzero == 5484
+    assert vanished == {("a", -1): 20, ("b", -1): 20, ("a/b", -1): 20}
 
 
 # The route before exact field arithmetic, kept as a reference: every
@@ -720,7 +825,7 @@ def _ref_imag_linear(p: LaurentPoly):
 
 def _ref_line_points(pA, pB):
     """The real-line-quadric points, deduplicated with ``_ref_eq``."""
-    coords = pairs._solve_real_line(pA, pB)
+    coords = _line(pA, pB)
     imA, imB = _ref_imag_linear(pA), _ref_imag_linear(pB)
     points = []
     for root in _quadric(pA, pB).real_roots():

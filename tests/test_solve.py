@@ -22,7 +22,6 @@ from chmkit.exactnum import (
 from chmkit.solve import (
     LaurentPoly,
     TorusPoint,
-    _cyclotomic_order,
     has_nonsimple_point,
     pinned_residual,
     solve_torus,
@@ -191,28 +190,47 @@ def _reference_cyclotomic_order(f):
     return None
 
 
+def _primitive_roots(*orders):
+    """The primitive n-th roots of unity for each n, in turn order."""
+    return tuple(sorted(
+        (root_of_unity(k, n) for n in orders for k in range(n) if math.gcd(k, n) == 1),
+        key=lambda u: u.turn))
+
+
+def _from_sympy(f):
+    """A sympy Poly in x as a LaurentPoly in a."""
+    return lp(dict(f.terms()))
+
+
 def test_cyclotomic_lookup_matches_totient_loop_on_phi_n():
+    # dividing out Phi_n leaves exactly its primitive roots, for -Phi_n too
     for n in range(1, 121):
         f = sympy.Poly(sympy.cyclotomic_poly(n, _X), _X)
-        assert _cyclotomic_order(f) == _reference_cyclotomic_order(f) == n
-        assert _cyclotomic_order(-f) is _reference_cyclotomic_order(-f) is None
+        assert _reference_cyclotomic_order(f) == n
+        assert _reference_cyclotomic_order(-f) is None
+        for g in (f, -f):
+            sol = solve_unit_circle(_from_sympy(g))
+            assert sol.exact_points == _primitive_roots(n), n
+            assert sol.algebraic_points == ()
 
 
 def test_cyclotomic_lookup_rejects_monic_non_cyclotomics():
     lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
-    for coeffs in (
-        lehmer,
-        [1, -1, -1],             # golden ratio
-        [1, 0, -1, -1],          # smallest Pisot number
-        [1, 1, 2],
-        [1, -2],
-        [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1],
-        [2, 1],
-        [1, 0, 1, 0, 1],         # Phi_3 * Phi_6, not irreducible
+    for coeffs, orders in (
+        (lehmer, ()),
+        ([1, -1, -1], ()),             # golden ratio
+        ([1, 0, -1, -1], ()),          # smallest Pisot number
+        ([1, 1, 2], ()),
+        ([1, -2], ()),
+        ([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1], ()),
+        ([2, 1], ()),
+        ([1, 0, 1, 0, 1], (3, 6)),     # Phi_3 * Phi_6, not irreducible
     ):
         f = sympy.Poly(coeffs, _X)
-        assert _cyclotomic_order(f) is None
         assert _reference_cyclotomic_order(f) is None
+        assert solve_unit_circle(_from_sympy(f)).exact_points == _primitive_roots(*orders)
+    # a Salem polynomial: eight unimodular roots, none a root of unity
+    assert len(solve_unit_circle(_from_sympy(sympy.Poly(lehmer, _X))).algebraic_points) == 4
 
 
 def test_cyclotomic_lookup_matches_totient_loop_on_sweep_factors(monkeypatch):
@@ -231,18 +249,17 @@ def test_cyclotomic_lookup_matches_totient_loop_on_sweep_factors(monkeypatch):
         for arr in arrays.enumerate_count_arrays(struct):
             arrays.classify_array.__wrapped__(arr)
     assert len(equations) == 880
-    factors = set()
+    orders = set()
     for p in equations:
         low = min(e for (e,) in p.coeffs)
         cleared = sympy.Poly(
             sum(c * _X ** (e - low) for (e,), c in p.coeffs.items()), _X
         )
-        factors.update(f for f, _ in cleared.factor_list()[1])
-    orders = set()
-    for f in factors:
-        n = _cyclotomic_order(f)
-        assert n == _reference_cyclotomic_order(f), f
-        orders.add(n)
+        factor_orders = [_reference_cyclotomic_order(f)
+                         for f, _ in cleared.factor_list()[1]]
+        orders.update(factor_orders)
+        expected = _primitive_roots(*(n for n in factor_orders if n is not None))
+        assert solve_unit_circle(p).exact_points == expected, p
     assert None in orders and len(orders) > 5
 
 
