@@ -12,14 +12,20 @@ unit-circle solutions can leave the simple set.
 Labels come from the case recipe that generated the catalogued
 non-simple lists; the attached solution sets are always computed
 honestly (complete exact solve in one variable; in two, the exact
-substitution sweep plus, for catalogued arrays, the points of
-``solve.solve_torus``).
+substitution sweep plus, for catalogued arrays, a witness searched among
+the ``solve.solve_torus`` points).
 On a few arrays the recipe's screening is coarser than the exact solve;
 those carry ``solutions_agree=False`` instead of being silently patched.
 
 Simplicity reads two tables: ``exactnum.SIMPLE_TURNS`` for one-variable
 points, ``solve.SETTLED_RELATIONS`` for GENERIC points. The GENERIC
 substitution sweep runs over the same relations plus a = 1 and b = 1.
+
+Re-basing the alphabet at a letter, swapping a and b and conjugating
+form a group of order 12 (``_TORUS_MAPS``) that maps count-array
+equations onto each other. The witness search solves one equation per
+orbit, its orbit key, and maps the key's points into each member's
+coordinates; the witness is then chosen, and re-checked, on the member.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .solve import (
     LaurentPoly,
     Relation,
     SolutionSet,
+    _classify_torus_point,
     has_nonsimple_point,
     solve_torus,
     solve_unit_circle,
@@ -422,6 +429,47 @@ def is_simple(point, struct: AlphabetStructure, tol: float = 1e-9) -> bool:
     return ten_relation_residual(_as_complex(a), _as_complex(b)) <= tol
 
 
+# --- the alphabet's symmetry group on the torus -------------------------
+
+# Re-basing {1, a, b} at a letter, swapping a and b and conjugating all
+# preserve complex equivalence. Each acts on the torus as a monomial map:
+# row i, (m, n), sends (a, b) to a^m * b^n in coordinate i. The six
+# re-basings and swaps, each with and without conjugation, are a group
+# of order 12. A count-array equation composed with one of them is the
+# equation of another count array, and the zeros of p(g(a, b)) are the
+# zeros of p pulled back through g.
+_S3_MAPS = (
+    ((1, 0), (0, 1)),    # (a, b)
+    ((0, 1), (1, 0)),    # (b, a)
+    ((-1, 0), (-1, 1)),  # (1/a, b/a)
+    ((-1, 1), (-1, 0)),  # (b/a, 1/a)
+    ((0, -1), (1, -1)),  # (1/b, a/b)
+    ((1, -1), (0, -1)),  # (a/b, 1/b)
+)
+_TORUS_MAPS = _S3_MAPS + tuple(
+    tuple(tuple(-e for e in row) for row in m) for m in _S3_MAPS
+)
+
+
+def _compose_terms(p: LaurentPoly, m) -> tuple:
+    """p(m(a, b)) as sorted ((e1, e2), c) terms, each exponent shifted
+    to a minimum of 0: a monomial factor moves no zero on the torus."""
+    (m11, m12), (m21, m22) = m
+    terms = [
+        ((e1 * m11 + e2 * m21, e1 * m12 + e2 * m22), c)
+        for (e1, e2), c in p.coeffs.items()
+    ]
+    low1 = min(e1 for (e1, _), _ in terms)
+    low2 = min(e2 for (_, e2), _ in terms)
+    return tuple(sorted(((e1 - low1, e2 - low2), c) for (e1, e2), c in terms))
+
+
+def _map_point(m, a: complex, b: complex) -> tuple:
+    """The torus point m(a, b)."""
+    (m11, m12), (m21, m22) = m
+    return a ** m11 * b ** m12, a ** m21 * b ** m22
+
+
 # --- two-variable witness search --------------------------------------
 
 # Eight off-turn curve samples meet every catalogued curve off the ten
@@ -432,19 +480,56 @@ _WITNESS_TOL = 1e-9
 _WITNESS_MARGIN = 1e-6
 
 
+@lru_cache(maxsize=None)
+def _key_points(key: tuple) -> tuple:
+    """The ``solve_torus`` points of an orbit's key equation, as unit
+    complex pairs; filled one orbit at a time, on first use."""
+    q = LaurentPoly(("a", "b"), dict(key))
+    return tuple(
+        (cmath.exp(1j * pt.theta1), cmath.exp(1j * pt.theta2))
+        for pt in solve_torus(q, samples=_WITNESS_SAMPLES).points
+    )
+
+
+def _orbit_points(p: LaurentPoly) -> list:
+    """The torus points of p, solved once per orbit of ``_TORUS_MAPS``.
+
+    The orbit key is the smallest of the twelve ``_compose_terms(p, m)``;
+    the key equation's ``solve_torus(samples=8)`` points are mapped by
+    m into p's coordinates, sorted by angle. Angles, ``simple`` and
+    ``pinned`` are derived again at the mapped point, because the ten
+    settled relations are not closed under the group (a = b maps to
+    b = 1).
+    """
+    key, m = min((_compose_terms(p, g), g) for g in _TORUS_MAPS)
+    points = [
+        _classify_torus_point(*_map_point(m, a, b))
+        for a, b in _key_points(key)
+    ]
+    points.sort(key=lambda pt: (pt.theta1, pt.theta2))
+    return points
+
+
 def nonsimple_witness_search(p: LaurentPoly):
     """A non-simple solution (theta1, theta2) of a 2-variable equation.
 
-    Walks the points of ``solve_torus(p, samples=8)`` in their sorted
-    order and returns the first that a scalar re-check accepts: |p| at
-    most 1e-9 and a distance of more than 1e-6 from all ten simple
-    relations. Points with a = 1 or b = 1 are kept when they fail all
-    ten relations: they solve the equation even though the alphabet
-    they describe degenerates. Returns None when nothing qualifies. The
+    Walks ``_orbit_points(p)``, the ``solve_torus(samples=8)`` points of
+    p's orbit key mapped into p's coordinates, in their sorted order and
+    returns the first that a scalar re-check at p accepts: |p| at most
+    1e-9 and a distance of more than 1e-6 from all ten simple relations.
+    Points with a = 1 or b = 1 are kept when they fail all ten
+    relations: they solve the equation even though the alphabet they
+    describe degenerates. Such a point can sit on a = b for another
+    member of p's orbit, so whether a witness exists is decided per
+    equation, not per orbit. Returns None when nothing qualifies. The
     isolated points are complete but a curve is only sampled, so None
     is a statement about the samples, not a proof of absence.
     """
-    for pt in solve_torus(p, samples=_WITNESS_SAMPLES).points:
+    if len(p.variables) != 2:
+        raise ValueError("nonsimple_witness_search expects two variables")
+    if p.is_zero():
+        raise ValueError("identically zero")
+    for pt in _orbit_points(p):
         a, b = cmath.exp(1j * pt.theta1), cmath.exp(1j * pt.theta2)
         if abs(p.evaluate(a, b)) > _WITNESS_TOL:
             continue
@@ -619,9 +704,10 @@ class ArrayClassification:
     solutions: False marks arrays where the case recipe says one thing
     and the solutions say another, None means the comparison was not
     decided (two-variable SimpleOnly labels, where absence of further
-    components is not asserted). ``nonsimple_witness`` is a
-    ``solve_torus`` point off the ten relations backing a two-variable
-    NonSimple label.
+    components is not asserted). ``nonsimple_witness`` backs a
+    two-variable NonSimple label: a ``solve_torus`` point of the array's
+    orbit key, mapped into the array's coordinates, that solves the
+    array's own equation off the ten relations.
     """
 
     array: CountArray
@@ -652,8 +738,9 @@ def classify_array(array: CountArray) -> ArrayClassification:
     ``solutions_agree`` flag is dropped to False. GENERIC labels come
     from the catalogued shape rules; every GENERIC array gets the exact
     relation-substitution sweep, and the catalogued ones additionally
-    get a ``solve_torus`` witness backing (or failing to back) the
-    NonSimple claim.
+    get a witness backing (or failing to back) the NonSimple claim:
+    ``nonsimple_witness_search`` solves the torus equation once per
+    symmetry orbit and re-checks the mapped points on this array.
     """
     struct = array.structure
     if struct.name == "GENERIC":
@@ -733,6 +820,10 @@ def _classify_generic(array: CountArray) -> ArrayClassification:
             solutions_agree=True,
         )
 
+    # The sweep stays per array rather than per orbit: it fills
+    # ``solve_unit_circle``'s cache with exactly the one-variable
+    # equations that the NEGCONJ and CONJ arrays read later, and a
+    # per-orbit sweep mapped to the members made the median item slower.
     exact_pairs = []
     seen = set()
     for rel in _GENERIC_SWEEP:

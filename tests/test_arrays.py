@@ -13,7 +13,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chmkit import solve
+from chmkit import arrays, solve
 from chmkit.arrays import (
     _GENERIC_SWEEP,
     STRUCTURES,
@@ -33,6 +33,8 @@ from chmkit.arrays import (
 )
 from chmkit.exactnum import (
     OMEGA,
+    SIMPLE_TURNS,
+    SIMPLE_VALUES,
     CosinePoint,
     CycSum,
     Field,
@@ -823,3 +825,212 @@ def test_full_rogue_sweep_matches_frozen_lists():
             found_isolated.add(arr.counts)
     assert found_isolated == _UNCATALOGUED_WITH_ROGUE_POINTS
     assert found_curves == _UNCATALOGUED_CURVES
+
+
+# --- the symmetry group: one torus solve per orbit ---------------------------
+
+_IDENTITY = ((1, 0), (0, 1))
+
+
+def _matmul(x, y):
+    return tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+
+
+def _slot_perm(m):
+    """Slot i's monomial becomes slot perm[i]'s under p -> p(m(a, b))."""
+    slot = {exps: i for i, (_, exps) in enumerate(GENERIC.terms)}
+    (m11, m12), (m21, m22) = m
+    return tuple(
+        slot[(e1 * m11 + e2 * m21, e1 * m12 + e2 * m22)]
+        for _, (e1, e2) in GENERIC.terms
+    )
+
+
+def _image_counts(counts, perm):
+    out = [0] * len(counts)
+    for i, c in enumerate(counts):
+        out[perm[i]] = c
+    return tuple(out)
+
+
+def _generic_orbits():
+    perms = [_slot_perm(m) for m in arrays._TORUS_MAPS]
+    orbits, seen = [], set()
+    for arr in enumerate_count_arrays(GENERIC, include_excluded=True):
+        if arr.counts not in seen:
+            orbit = {_image_counts(arr.counts, perm) for perm in perms}
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+def _reference_witness(p):
+    """The witness walk over p's own ``solve_torus(p, samples=8)``."""
+    for pt in solve_torus(p, samples=8).points:
+        a, b = cmath.exp(1j * pt.theta1), cmath.exp(1j * pt.theta2)
+        if abs(p.evaluate(a, b)) > 1e-9:
+            continue
+        if ten_relation_residual(a, b) <= 1e-6:
+            continue
+        return pt.theta1, pt.theta2
+    return None
+
+
+def test_torus_maps_form_a_group_of_order_12():
+    maps = set(arrays._TORUS_MAPS)
+    assert len(arrays._TORUS_MAPS) == len(maps) == 12
+    assert _IDENTITY in maps
+    a, b = cmath.exp(0.3j), cmath.exp(1.7j)
+    for x in maps:
+        assert any(_matmul(x, y) == _IDENTITY for y in maps), x
+        for y in maps:
+            xy = _matmul(x, y)
+            assert xy in maps, (x, y)
+            # the matrix product is the composition of the point maps
+            got = arrays._map_point(xy, a, b)
+            want = arrays._map_point(x, *arrays._map_point(y, a, b))
+            assert abs(got[0] - want[0]) + abs(got[1] - want[1]) < 1e-12
+
+
+def test_conjugation_map_permutes_slots_as_conj_perm():
+    assert _slot_perm(((-1, 0), (0, -1))) == GENERIC.conj_perm
+    for m in arrays._TORUS_MAPS:
+        assert sorted(_slot_perm(m)) == list(range(GENERIC.k))
+
+
+def test_torus_maps_send_count_array_equations_to_count_array_equations():
+    """Each of the 924 GENERIC equations composed with each map is, up
+    to a monomial shift, the equation of the slot-permuted array."""
+    arrs = enumerate_count_arrays(GENERIC, include_excluded=True)
+    assert len(arrs) == 924
+    for m in arrays._TORUS_MAPS:
+        perm = _slot_perm(m)
+        for arr in arrs:
+            image = CountArray(GENERIC, _image_counts(arr.counts, perm))
+            assert arrays._compose_terms(original_equation(arr), m) == (
+                arrays._compose_terms(original_equation(image), _IDENTITY)
+            ), (m, arr)
+
+
+def _map_turns(m, ta, tb):
+    (m11, m12), (m21, m22) = m
+    return (m11 * ta + m12 * tb) % 1, (m21 * ta + m22 * tb) % 1
+
+
+def test_sweep_relations_and_simple_values_are_closed_under_the_group():
+    turns = [Fraction(k, 97) for k in range(97)]
+    leaves_the_ten = False
+    for m in arrays._TORUS_MAPS:
+        images = []
+        for rel in _GENERIC_SWEEP:
+            on_image = [
+                other for other in _GENERIC_SWEEP
+                if all(other.holds(*_map_turns(m, *rel.point(t))) for t in turns)
+            ]
+            assert len(on_image) == 1, (m, str(rel))
+            images.append(on_image[0])
+            if rel in SETTLED_RELATIONS and on_image[0] not in SETTLED_RELATIONS:
+                leaves_the_ten = True
+        assert sorted(map(str, images)) == sorted(map(str, _GENERIC_SWEEP)), m
+    # a = b maps to b = 1: the ten alone are not closed, so the witness
+    # search derives simplicity again at every mapped point
+    assert leaves_the_ten
+    assert {-t % 1 for t in SIMPLE_TURNS} == SIMPLE_TURNS
+    for v in SIMPLE_VALUES:
+        assert min(abs(1 / v - w) for w in SIMPLE_VALUES) < 1e-12
+
+
+def test_orbits_carry_labels_and_frozen_sets():
+    orbits = _generic_orbits()
+    assert len(orbits) == 105
+    mixed = []
+    for orbit in orbits:
+        found = [classify_array(CountArray(GENERIC, c)) for c in sorted(orbit)]
+        assert len({cls.label.kind for cls in found}) == 1, orbit
+        assert len({cls.vacuous for cls in found}) == 1, orbit
+        if len({cls.nonsimple_witness is not None for cls in found}) > 1:
+            mixed.append(found)
+    # Witness existence is not an orbit invariant on N.3: the witnesses of
+    # N.3.2 and N.3.4 have a letter at 1, which N.3.6 sees on a = b.
+    assert [sorted({cls.label.tag for cls in found}) for found in mixed] == [
+        ["N.3.2", "N.3.4", "N.3.6"]
+    ]
+    for cls in mixed[0]:
+        if cls.nonsimple_witness is not None:
+            assert min(abs(cmath.exp(1j * t) - 1) for t in cls.nonsimple_witness) < 1e-9
+        else:
+            assert cls.label.tag == "N.3.6"
+    for frozen in (_UNCATALOGUED_WITH_ROGUE_POINTS, _UNCATALOGUED_CURVES):
+        assert frozen == set().union(*(o for o in orbits if o & frozen))
+    assert len([o for o in orbits if o & _UNCATALOGUED_CURVES]) == 1
+
+
+def test_orbit_witness_search_agrees_with_own_solve():
+    polys = [_OFFGRID, original_equation(CountArray(GENERIC, (1, 1, 1, 2, 0, 1, 0)))]
+    polys += [
+        original_equation(arr) for arr in enumerate_count_arrays(GENERIC)
+        if classify_array(arr).label.kind == "NonSimple"
+    ]
+    assert len(polys) == 57
+    found = 0
+    for p in polys:
+        hit = nonsimple_witness_search(p)
+        assert (hit is None) == (_reference_witness(p) is None), p
+        if hit is None:
+            continue
+        found += 1
+        a, b = cmath.exp(1j * hit[0]), cmath.exp(1j * hit[1])
+        assert abs(p.evaluate(a, b)) <= 1e-9
+        assert ten_relation_residual(a, b) > 1e-6
+    assert found == 24
+
+
+def test_witness_search_rejects_zero_polynomial():
+    with pytest.raises(ValueError):
+        nonsimple_witness_search(LaurentPoly(("a", "b"), {}))
+
+
+def test_mapped_points_equal_own_solve_on_isolated_equations():
+    """On every isolated or empty GENERIC equation, the orbit key's
+    points mapped into the member's coordinates are the member's own
+    ``solve_torus`` points, with the same flags."""
+    checked = 0
+    for arr in enumerate_count_arrays(GENERIC):
+        p = original_equation(arr)
+        own = solve_torus(p, samples=8)
+        if own.kind == "curve":
+            continue
+        checked += 1
+        mapped = arrays._orbit_points(p)
+        assert len(mapped) == len(own.points), arr
+        for pt in own.points:
+            a, b = cmath.exp(1j * pt.theta1), cmath.exp(1j * pt.theta2)
+            near = [
+                q for q in mapped
+                if abs(cmath.exp(1j * q.theta1) - a)
+                + abs(cmath.exp(1j * q.theta2) - b) <= 1e-9
+            ]
+            assert len(near) == 1, (arr, pt)
+            assert (near[0].simple, near[0].pinned) == (pt.simple, pt.pinned), arr
+    assert checked == 284
+
+
+def test_generic_sweep_solves_one_torus_equation_per_orbit(monkeypatch):
+    solved = []
+
+    def counting(p, samples=720):
+        solved.append(p)
+        return solve_torus(p, samples=samples)
+
+    monkeypatch.setattr(arrays, "solve_torus", counting)
+    classify_array.cache_clear()
+    arrays._key_points.cache_clear()
+    witnesses = sum(
+        classify_array(arr).nonsimple_witness is not None
+        for arr in enumerate_count_arrays(GENERIC)
+    )
+    assert witnesses == 23
+    assert len(solved) == 8
